@@ -16,8 +16,8 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .factors import closed_form_comfort, factor_counts, odd_unicyclic_sums, \
-    spanning_tree_count, two_forest_count
+from .factors import FactorMismatchError, closed_form_comfort, factor_counts, \
+    odd_unicyclic_sums, spanning_tree_count, two_forest_count
 from .graphs import WalkInstance, bipartition, canonical_form, \
     enumerate_connected, odd_cycle_witness
 from .potential import bipartite_route, kirchhoff_audit, nonbipartite_route
@@ -320,7 +320,7 @@ def _suite_factor_oracles(n_max=5):
                     odd_unicyclic_sums(g, u, method="both")
                     for v in range(u + 1, n + 1):
                         two_forest_count(g, u, v, method="both")
-            except Exception:
+            except FactorMismatchError:
                 bad += 1
             checked += 1
     return bad == 0, f"{checked} graphs, {bad} oracle mismatches"

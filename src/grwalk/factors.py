@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .graphs import bipartition, cycle_graph
+from .graphs import bipartition, components, cycle_graph
 from .potential import incidence_nonoriented, laplacian, signless_laplacian
 from .ratlin import rat
 
@@ -41,31 +41,6 @@ class FactorCounts:
     iota2: int
     edge_count: int
     omega_histogram: dict
-
-
-def _components(n, edges):
-    """Union-find component labels {vertex: root} plus per-root edge counts."""
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    roots = {}
-    edge_count = {}
-    for v in range(1, n + 1):
-        r = find(v)
-        roots.setdefault(r, []).append(v)
-        edge_count.setdefault(r, 0)
-    for u, v in edges:
-        edge_count[find(u)] += 1
-    return roots, edge_count
 
 
 def _is_odd_unicyclic(vertices, edges):
@@ -112,7 +87,7 @@ def _enumerate_factors(g):
         if k < n - 2 or k > n:
             continue
         subset = [edges[i] for i in range(m) if mask >> i & 1]
-        roots, edge_count = _components(n, subset)
+        roots, edge_count = components(n, subset)
         omega = len(roots)
         if k == n - 2:
             # n-2 edges in exactly two components forces two trees.

@@ -220,6 +220,31 @@ def odd_cycle_witness(g):
     return None
 
 
+def components(n, edges):
+    """Union-find component labels {root: [vertices]} plus per-root edge counts."""
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    roots = {}
+    edge_count = {}
+    for v in range(1, n + 1):
+        r = find(v)
+        roots.setdefault(r, []).append(v)
+        edge_count.setdefault(r, 0)
+    for u, v in edges:
+        edge_count[find(u)] += 1
+    return roots, edge_count
+
+
 def enumerate_connected(n):
     """All labeled connected simple graphs on n vertices (2 <= n <= 6).
 
@@ -232,21 +257,7 @@ def enumerate_connected(n):
     out = []
     for mask in range(1, 1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        parent = list(range(n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = n
-        for u, v in edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                comps -= 1
-        if comps == 1:
+        if len(components(n, edges)[0]) == 1:
             out.append(Graph(n, edges))
     return out
 

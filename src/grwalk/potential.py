@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .graphs import bipartition
-from .ratlin import RAT_ONE, RAT_ZERO, RatMatrix, rat
+from .ratlin import RAT_ONE, RAT_ZERO, RatMatrix, SingularMatrixError, rat
 from .stationary import ArcField, outflow
 
 
@@ -310,7 +310,7 @@ def _pseudo_audit(inst, psi, report):
     q_vec = [-inst.inflow_at(v) for v in range(1, g.n + 1)]
     try:
         sol = q_mat.solve(q_vec)
-    except Exception:
+    except SingularMatrixError:
         report.add("potential existence", False, "signless Laplacian singular")
         return
     phi = {v: x for v, x in zip(range(1, g.n + 1), sol)}

@@ -1,24 +1,20 @@
 """Exact rational scalars and dense matrices over them.
 
 Every exact route in the package runs on top of this module; floating
-point appears only in the time-domain simulator.  gmpy2's mpq is used
-when available (it is considerably faster on the catalog sweeps), with
-fractions.Fraction as a pure-Python fallback.
+point appears only in the time-domain simulator.  Scalars are
+fractions.Fraction; eliminations clear denominators and run on Python
+ints.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is normally installed
-    _mpq = Fraction
+from math import lcm
 
 
 def rat(p=0, q=1):
     """The exact rational p/q."""
-    return _mpq(p, q)
+    return Fraction(p, q)
 
 
 RAT_ZERO = rat(0)
@@ -57,11 +53,14 @@ class SingularMatrixError(ValueError):
 class RatMatrix:
     """Dense matrix over exact rationals.
 
-    All matrices in this package are small (at most ~40x40), so dense
-    row-major storage and plain Gaussian elimination are entirely
-    adequate.  Pivoting picks the first nonzero entry in column order;
-    exact arithmetic needs no numerical pivoting and this keeps results
-    deterministic.
+    Storage is dense and row-major; the largest systems here are the
+    2m-by-2m arc operators (42x42 for K7, up to 56x56 for 8-vertex
+    graphs).  All eliminations share one fraction-free echelon routine:
+    rank and det read its pivots, nullspace back-substitutes from it, and
+    a solve of ``self @ x = b`` reads its solutions off the kernel of
+    ``[self | -b]``.  Pivoting picks the first nonzero entry in column
+    order; exact arithmetic needs no numerical pivoting and this keeps
+    results deterministic.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -144,94 +143,54 @@ class RatMatrix:
                    for i in range(self.rows) for j in range(self.cols))
 
     def rank(self):
-        a = [row[:] for row in self.data]
-        rank = 0
-        for col in range(self.cols):
-            piv = next((r for r in range(rank, self.rows) if a[r][col] != 0), None)
-            if piv is None:
-                continue
-            a[rank], a[piv] = a[piv], a[rank]
-            pval = a[rank][col]
-            for r in range(rank + 1, self.rows):
-                f = a[r][col]
-                if f != 0:
-                    f = f / pval
-                    arow, prow = a[r], a[rank]
-                    for c in range(col, self.cols):
-                        arow[c] -= f * prow[c]
-            rank += 1
-            if rank == self.rows:
-                break
-        return rank
+        return len(_echelon(self.data)[1])
 
     def det(self):
         """Exact determinant; 0 for singular input."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        a = [row[:] for row in self.data]
-        sign = 1
-        result = RAT_ONE
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                return RAT_ZERO
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                sign = -sign
-            pval = a[col][col]
-            result = result * pval
-            for r in range(col + 1, n):
-                f = a[r][col]
-                if f != 0:
-                    f = f / pval
-                    arow, prow = a[r], a[col]
-                    for c in range(col + 1, n):
-                        arow[c] -= f * prow[c]
-        return result if sign == 1 else -result
+        rows, pivots, scale, sign = _echelon(self.data)
+        if len(pivots) < self.rows:
+            return RAT_ZERO
+        return rat(sign * rows[-1][-1], scale) if rows else RAT_ONE
+
+    def _augmented_kernel(self, rhs_columns):
+        """Kernel of ``[self | -b_1 ... -b_k]``, split into the kernel of
+        self and the particular solutions of ``self @ x = b_t``.
+
+        A free coefficient column yields a kernel vector of self (its
+        right-hand-side part is zero); a free right-hand-side column t
+        yields the solution of ``self @ x = b_t`` that vanishes on the
+        free coefficient columns.  Fewer than k particular solutions means
+        some right-hand side is inconsistent.
+        """
+        for col in rhs_columns:
+            if len(col) != self.rows:
+                raise ValueError("right-hand-side length mismatch")
+        n = self.cols
+        aug = RatMatrix([row + [-col[i] for col in rhs_columns]
+                         for i, row in enumerate(self.data)])
+        kernel, particulars = [], []
+        for vec in aug.nullspace():
+            if any(vec[n:]):
+                particulars.append(vec[:n])
+            else:
+                kernel.append(vec[:n])
+        return kernel, particulars
 
     def solve_many(self, rhs_columns):
         """Solve ``self @ x = b`` for several right-hand-side columns at once.
 
-        One forward elimination is shared by all columns; raises
-        SingularMatrixError (with the true rank) if no solution family
-        exists.  Returns the solution columns in order.
+        One reduction is shared by all columns; raises SingularMatrixError
+        (with the true rank) if self is singular.  Returns the solution
+        columns in order.
         """
         if self.rows != self.cols:
             raise ValueError("solve needs a square matrix")
-        n = self.rows
-        k = len(rhs_columns)
-        for col in rhs_columns:
-            if len(col) != n:
-                raise ValueError("right-hand-side length mismatch")
-        aug = [self.data[i][:] + [rat(col[i]) for col in rhs_columns]
-               for i in range(n)]
-        width = n + k
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise SingularMatrixError(self.rank(), n)
-            if piv != col:
-                aug[col], aug[piv] = aug[piv], aug[col]
-            pval = aug[col][col]
-            for r in range(col + 1, n):
-                f = aug[r][col]
-                if f != 0:
-                    f = f / pval
-                    arow, prow = aug[r], aug[col]
-                    for c in range(col + 1, width):
-                        arow[c] -= f * prow[c]
-        solutions = []
-        for t in range(k):
-            x = [RAT_ZERO] * n
-            for i in range(n - 1, -1, -1):
-                arow = aug[i]
-                s = arow[n + t]
-                for j in range(i + 1, n):
-                    s -= arow[j] * x[j]
-                x[i] = s / arow[i]
-            solutions.append(x)
-        return solutions
+        kernel, particulars = self._augmented_kernel(rhs_columns)
+        if kernel:
+            raise SingularMatrixError(self.cols - len(kernel), self.cols)
+        return particulars
 
     def solve(self, b):
         """Exact solution of ``self @ x = b``, residual-verified before return."""
@@ -241,56 +200,30 @@ class RatMatrix:
             raise RuntimeError("exact solver produced a nonzero residual")
         return x
 
-    def _rref_augmented(self, rhs_columns):
-        """Reduced row echelon form of [self | rhs columns].
-
-        Returns (rows, pivot column indices); pivots refer to coefficient
-        columns only.
-        """
-        k = len(rhs_columns)
-        for col in rhs_columns:
-            if len(col) != self.rows:
-                raise ValueError("right-hand-side length mismatch")
-        aug = [self.data[i][:] + [rat(col[i]) for col in rhs_columns]
-               for i in range(self.rows)]
-        width = self.cols + k
-        pivots = []
-        row = 0
-        for col in range(self.cols):
-            piv = next((r for r in range(row, self.rows) if aug[r][col] != 0),
-                       None)
-            if piv is None:
-                continue
-            aug[row], aug[piv] = aug[piv], aug[row]
-            pval = aug[row][col]
-            if pval != 1:
-                aug[row] = [x / pval for x in aug[row]]
-            prow = aug[row]
-            for r in range(self.rows):
-                if r != row and aug[r][col] != 0:
-                    f = aug[r][col]
-                    arow = aug[r]
-                    for c in range(col, width):
-                        arow[c] -= f * prow[c]
-            pivots.append(col)
-            row += 1
-            if row == self.rows:
-                break
-        return aug, pivots
-
     def nullspace(self):
-        """A basis (list of column vectors) of the kernel of self."""
-        aug, pivots = self._rref_augmented([])
+        """A basis (list of column vectors) of the kernel of self.
+
+        One vector per free column of the echelon form: 1 at that column,
+        0 at the other free columns, in increasing free-column order.
+        """
+        rows, pivots, _, _ = _echelon(self.data)
+        cols = self.cols
+        # Scaled by the last pivot, the minor of the pivot columns, every
+        # basis vector is integral, so the back-substitution stays in ints
+        # and each division is exact.
+        d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
         pivot_set = set(pivots)
         basis = []
-        for free in range(self.cols):
+        for free in range(cols):
             if free in pivot_set:
                 continue
-            vec = [RAT_ZERO] * self.cols
-            vec[free] = RAT_ONE
-            for row, pcol in enumerate(pivots):
-                vec[pcol] = -aug[row][free]
-            basis.append(vec)
+            vec = [0] * cols
+            vec[free] = d
+            for row, pcol in zip(reversed(rows[:len(pivots)]),
+                                 reversed(pivots)):
+                s = sum(row[j] * vec[j] for j in range(pcol + 1, cols))
+                vec[pcol] = -s // row[pcol]
+            basis.append([rat(x, d) for x in vec])
         return basis
 
     def solve_min_norm_many(self, rhs_columns):
@@ -299,23 +232,12 @@ class RatMatrix:
         For a nonsingular system this coincides with solve_many; for a
         consistent singular system it returns the unique solution
         orthogonal to the kernel.  Raises SingularMatrixError when any
-        right-hand side is inconsistent.  One reduction is shared by all
-        columns.
+        right-hand side is inconsistent.  One reduction yields both the
+        particular solutions and the kernel basis.
         """
-        k = len(rhs_columns)
-        aug, pivots = self._rref_augmented(rhs_columns)
-        rank = len(pivots)
-        for row in range(rank, self.rows):
-            for t in range(k):
-                if aug[row][self.cols + t] != 0:
-                    raise SingularMatrixError(rank, self.cols)
-        particulars = []
-        for t in range(k):
-            x = [RAT_ZERO] * self.cols
-            for row, pcol in enumerate(pivots):
-                x[pcol] = aug[row][self.cols + t]
-            particulars.append(x)
-        basis = self.nullspace() if rank < self.cols else []
+        basis, particulars = self._augmented_kernel(rhs_columns)
+        if len(particulars) < len(rhs_columns):
+            raise SingularMatrixError(self.cols - len(basis), self.cols)
         if not basis:
             return particulars
         d = len(basis)
@@ -342,3 +264,48 @@ class RatMatrix:
 
 def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), RAT_ZERO)
+
+
+def _echelon(data):
+    """Fraction-free row echelon form of a rational matrix (Bareiss 1968).
+
+    Each row is first multiplied by the lcm of its denominators, so the
+    elimination runs on Python ints; Bareiss' division by the previous
+    pivot is exact.  Pivots are the first nonzero entry in column order
+    (columns with none are skipped), which keeps results deterministic.
+
+    Returns (rows, pivots, scale, sign): the integer echelon rows, the
+    pivot column of each leading row, the product of the row multipliers
+    and the sign of the row permutation.  The k-th pivot is the leading
+    k-by-k minor of the permuted integer matrix on the pivot columns, so
+    a square nonsingular matrix has det = sign * last pivot / scale.
+    """
+    rows = []
+    scale = 1
+    for row in data:
+        m = lcm(*(x.denominator for x in row))
+        scale *= m
+        rows.append([x.numerator * (m // x.denominator) for x in row])
+    nrows = len(rows)
+    sign = 1
+    pivots = []
+    prev = 1
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        prow = rows[r]
+        p = prow[col]
+        for i in range(r + 1, nrows):
+            f = rows[i][col]
+            rows[i] = [(p * a - f * b) // prev
+                       for a, b in zip(rows[i], prow)]
+        prev = p
+        pivots.append(col)
+    return rows, pivots, scale, sign

@@ -7,7 +7,7 @@ from grwalk.potential import (bipartite_route, fundamental_cycles,
                               incidence_nonoriented, incidence_oriented,
                               kirchhoff_audit, laplacian, nonbipartite_route,
                               signless_laplacian)
-from grwalk.ratlin import rat
+from grwalk.ratlin import RatMatrix, rat
 from grwalk.stationary import outflow, stationary_state, with_inflow
 
 
@@ -136,6 +136,20 @@ def test_kirchhoff_audit_nonbipartite():
     assert not report.bipartite and report.ok
     names = {c.name for c in report.checks}
     assert "arc symmetry" in names and "potential existence" in names
+
+
+def test_kirchhoff_audit_propagates_residual_failures(monkeypatch):
+    # Only a singular signless Laplacian is an audit finding; a solver
+    # fault (nonzero residual) must not be reported as one.
+    inst = standard_instance(complete_graph(4), 1, 4)
+    psi = stationary_state(inst)
+
+    def faulty_solve(self, b):
+        raise RuntimeError("exact solver produced a nonzero residual")
+
+    monkeypatch.setattr(RatMatrix, "solve", faulty_solve)
+    with pytest.raises(RuntimeError, match="nonzero residual"):
+        kirchhoff_audit(inst, psi)
 
 
 def test_kirchhoff_audit_detects_corruption():

@@ -1,4 +1,7 @@
 """Exact rational linear algebra: arithmetic, determinants, solvers."""
+from itertools import permutations
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +10,47 @@ from grwalk.ratlin import (RatMatrix, SingularMatrixError, format_rational,
                            parse_rational, rat)
 
 rationals = st.builds(rat, st.integers(-20, 20), st.integers(1, 12))
+# Half zeros: zero leading entries force row swaps even at full rank.
+sparse_rationals = st.one_of(st.just(rat(0)), rationals)
 
 
 def mat_strategy(n):
     return st.lists(st.lists(rationals, min_size=n, max_size=n),
                     min_size=n, max_size=n).map(RatMatrix)
+
+
+@st.composite
+def low_rank_matrices(draw, max_rows=6, max_cols=7, square=False):
+    """Sparse products B*C of inner dimension k <= min(rows, cols), with
+    some columns zeroed, so that the echelon has to swap rows and skip
+    pivot columns."""
+    rows = draw(st.integers(1, max_rows))
+    cols = rows if square else draw(st.integers(1, max_cols))
+    k = draw(st.integers(0, min(rows, cols)))
+    b = draw(st.lists(st.lists(sparse_rationals, min_size=k, max_size=k),
+                      min_size=rows, max_size=rows))
+    c = draw(st.lists(st.lists(sparse_rationals, min_size=cols, max_size=cols),
+                      min_size=k, max_size=k))
+    zeroed = draw(st.sets(st.integers(0, cols - 1), max_size=cols // 2))
+    return RatMatrix([[rat(0) if j in zeroed else
+                       sum((b[i][t] * c[t][j] for t in range(k)), rat(0))
+                       for j in range(cols)] for i in range(rows)])
+
+
+sparse_square_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(sparse_rationals, min_size=n, max_size=n),
+                       min_size=n, max_size=n)).map(RatMatrix)
+
+
+def leibniz_det(a):
+    """Determinant as the signed sum over all permutations."""
+    total = rat(0)
+    for perm in permutations(range(a.rows)):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        term = prod((a.data[i][perm[i]] for i in range(a.rows)), start=rat(1))
+        total += -term if inversions % 2 else term
+    return total
 
 
 def test_rat_basics():
@@ -121,12 +160,50 @@ def test_min_norm_solution_is_kernel_orthogonal():
         a.solve_min_norm([rat(2), rat(3)])
 
 
-@given(mat_strategy(3), st.lists(rationals, min_size=3, max_size=3))
-@settings(max_examples=40)
+@given(st.one_of(mat_strategy(3), low_rank_matrices()),
+       st.lists(rationals, min_size=7, max_size=7))
+@settings(max_examples=80)
 def test_min_norm_consistency(a, x):
-    b = a.mul_vec(x)
+    b = a.mul_vec(x[:a.cols])
     y = a.solve_min_norm(b)
     # Must solve the system and be orthogonal to the kernel.
     assert a.mul_vec(y) == b
     for k in a.nullspace():
         assert sum((yi * ki for yi, ki in zip(y, k)), rat(0)) == rat(0)
+
+
+@given(low_rank_matrices())
+@settings(max_examples=60)
+def test_rank_nullity_on_low_rank_products(a):
+    r = a.rank()
+    assert r == a.transpose().rank()
+    basis = a.nullspace()
+    assert r + len(basis) == a.cols
+    for v in basis:
+        assert a.mul_vec(v) == [rat(0)] * a.rows
+
+
+@given(st.one_of(low_rank_matrices(max_rows=4, square=True),
+                 sparse_square_matrices))
+@settings(max_examples=80)
+def test_det_matches_leibniz_oracle(a):
+    assert a.det() == leibniz_det(a)
+
+
+@given(low_rank_matrices(max_rows=6, square=True),
+       st.lists(rationals, min_size=6, max_size=6))
+@settings(max_examples=60)
+def test_solve_many_singular_exactly_when_det_vanishes(a, b):
+    b = b[:a.rows]
+    try:
+        x = a.solve_many([b])[0]
+    except SingularMatrixError as err:
+        assert a.det() == 0
+        assert (err.rank, err.size) == (a.rank(), a.rows)
+        return
+    assert a.det() != 0
+    assert a.mul_vec(x) == b
+
+
+def test_det_of_empty_matrix_is_one():
+    assert RatMatrix([]).det() == rat(1)
