@@ -208,7 +208,8 @@ def analyze(inst, simulate_steps=None):
     applicable energy route and, optionally, the float simulator."""
     g = inst.graph
     part = bipartition(g)
-    psi = stationary_state(inst)
+    states = unit_stationary_states(inst)
+    psi = stationary_state(inst, unit_states=states)
     routes = [RouteValue("direct", comfortability_direct(psi))]
     factors = None
     if _standard_setting(inst):
@@ -227,7 +228,7 @@ def analyze(inst, simulate_steps=None):
                 routes.append(RouteValue("potential-reconstruction-mismatch",
                                          None))
     agree = all(r.value == routes[0].value for r in routes)
-    report = scattering(inst)
+    report = scattering(inst, unit_states=states)
     audit = kirchhoff_audit(inst, psi) if inst.phase == -1 else None
     simulation = None
     if simulate_steps:

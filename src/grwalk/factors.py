@@ -3,17 +3,24 @@
 chi1/chi2 are the spanning-tree and separating-two-forest counts behind
 the bipartite energy formula; iota1/iota2 are the 4^omega-weighted counts
 of odd-unicyclic factor families behind the non-bipartite one.  Every
-count is available two ways: brute-force edge-subset enumeration (the
-trusted oracle) and a Laplacian / signless-Laplacian minor determinant
-(the fast path); "both" mode cross-checks them and treats any mismatch as
-an implementation bug.
+count is available two ways: an exhaustive enumeration of the factors
+(the trusted oracle) and a Laplacian / signless-Laplacian minor
+determinant (the fast path); "both" mode cross-checks them and treats any
+mismatch as an implementation bug.
+
+The enumeration is a depth-first search over edge subsets that prunes
+every subset with an even cycle or a component with two cycles.  No
+superset of such a subset is a factor of any family, so the search still
+visits every factor exactly once, yet it skips nearly all of the 2^m
+subsets.  It counts factors one by one and shares nothing with the
+determinant code, which keeps it an independent check.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
 
-from .graphs import bipartition, components, cycle_graph
+from .graphs import bipartition, cycle_graph
 from .potential import incidence_nonoriented, laplacian, signless_laplacian
 from .ratlin import rat
 
@@ -33,7 +40,12 @@ class FactorMismatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class FactorCounts:
-    """All four factor counts for one (graph, u1, un) configuration."""
+    """All four factor counts for one (graph, u1, un) configuration.
+
+    omega_histogram maps "odd_unicyclic" and "tree_plus_odd_unicyclic" to
+    {omega: factor count}; it comes from the enumeration, so it is None
+    when the counts were computed with method="det".
+    """
 
     chi1: int
     chi2: int
@@ -43,94 +55,125 @@ class FactorCounts:
     omega_histogram: dict
 
 
-def _is_odd_unicyclic(vertices, edges):
-    """Connected component test: edges = vertices and the unique cycle,
-    exposed by repeatedly stripping degree-1 vertices, has odd length."""
-    if len(edges) != len(vertices):
-        return False
-    adj = {v: set() for v in vertices}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    queue = [v for v in vertices if len(adj[v]) == 1]
-    alive = set(vertices)
-    while queue:
-        v = queue.pop()
-        if v not in alive or len(adj[v]) != 1:
-            continue
-        alive.discard(v)
-        (w,) = adj[v]
-        adj[w].discard(v)
-        adj[v].clear()
-        if len(adj[w]) == 1:
-            queue.append(w)
-    return len(alive) % 2 == 1
-
-
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _enumerate_factors(g):
-    """One pass over all edge subsets, classifying every factor family.
+    """Count every member of the four factor families in one pruned search.
 
-    Returns (tree count, {(u,v): two-forest count}, (iota1, its omega
-    histogram), {v: (iota2, omega histogram)}).
+    Returns (tree count, {(u, v): two-forest count}, (iota1, its omega
+    histogram), {v: (iota2, omega histogram)}); omega is the component
+    count and histogram keys ascend.
+
+    A depth-first search over edges in index order adds edges to a
+    union-find that tracks each vertex's parity relative to its root
+    (union by size, no path compression, undone on backtrack) and whether
+    each component holds a cycle.  It rejects an edge that would close an
+    even cycle or a second cycle in one component.  Adding edges never
+    removes a cycle, so no superset of a rejected subset is a member of
+    any family: every accepted subset is a pseudo-forest whose cycles are
+    all odd, and each of them is visited exactly once.  Such a subset of
+    k edges has exactly n - k tree components, so its size and omega say
+    which family it belongs to:
+
+    * k = n - 2, omega = 2: a two-forest, tallied under the vertex set of
+      the part that holds vertex 1;
+    * k = n - 1: one tree plus omega - 1 odd-unicyclic components,
+      weight 4^(omega - 1), tallied under the tree's vertex set (omega = 1
+      is a spanning tree);
+    * k = n: omega odd-unicyclic components, weight 4^omega.
+
+    The vertex-set tallies are expanded to vertex pairs and vertices at
+    the end.  The search visits every factor explicitly and never forms a
+    matrix, so it stays an oracle independent of the determinants.
     """
     n, edges = g.n, g.edges
     m = len(edges)
-    trees = 0
-    forests = {}
-    iota1 = 0
-    hist1 = {}
+    full = (1 << (n + 1)) - 2                  # bit v marks vertex v
+    parent = list(range(n + 1))
+    parity = [0] * (n + 1)
+    size = [1] * (n + 1)
+    members = [1 << v for v in range(n + 1)]
+    cyclic = [False] * (n + 1)
+    forests = {}          # vertex set of vertex 1's part -> two-forests
+    tree_parts = {}       # (tree vertex set, omega) -> factors of n-1 edges
+    odd = {}              # omega -> all-odd-unicyclic factors
+
+    def find(x):
+        p = 0
+        while parent[x] != x:
+            p ^= parity[x]
+            x = parent[x]
+        return x, p
+
+    def visit(start, k, omega, trees):
+        # trees: the union of the vertex sets of the tree components.
+        if k == n - 2:
+            if omega == 2:
+                part = members[find(1)[0]]
+                forests[part] = forests.get(part, 0) + 1
+        elif k == n - 1:
+            key = (trees, omega)
+            tree_parts[key] = tree_parts.get(key, 0) + 1
+        elif k == n:
+            odd[omega] = odd.get(omega, 0) + 1
+            return
+        # Stop where the remaining edges can no longer reach n - 2.
+        for j in range(start, min(m, m + k + 3 - n)):
+            ru, pu = find(edges[j][0])
+            rv, pv = find(edges[j][1])
+            if ru == rv:
+                # The tree path u..v has parity pu ^ pv, so the closed
+                # cycle is odd exactly when pu == pv.
+                if cyclic[ru] or pu != pv:
+                    continue
+                cyclic[ru] = True
+                visit(j + 1, k + 1, omega, trees & ~members[ru])
+                cyclic[ru] = False
+                continue
+            if cyclic[ru] and cyclic[rv]:        # two cycles in one part
+                continue
+            if size[ru] < size[rv]:
+                ru, rv = rv, ru
+            was_cyclic = cyclic[ru]
+            if was_cyclic:
+                merged_trees = trees & ~members[rv]
+            elif cyclic[rv]:
+                merged_trees = trees & ~members[ru]
+            else:
+                merged_trees = trees
+            parent[rv] = ru
+            parity[rv] = pu ^ pv ^ 1
+            size[ru] += size[rv]
+            members[ru] |= members[rv]
+            cyclic[ru] = was_cyclic or cyclic[rv]
+            visit(j + 1, k + 1, omega - 1, merged_trees)
+            parent[rv] = rv                      # a root's parity is unread
+            size[ru] -= size[rv]
+            members[ru] ^= members[rv]
+            cyclic[ru] = was_cyclic
+
+    visit(0, 0, n, full)
+
+    def vertices(mask):
+        return [v for v in range(1, n + 1) if mask >> v & 1]
+
+    two_forests = {}
+    for part, count in forests.items():
+        outside = vertices(full & ~part)
+        for u in vertices(part):
+            for v in outside:
+                key = (u, v) if u < v else (v, u)
+                two_forests[key] = two_forests.get(key, 0) + count
     iota2 = {v: 0 for v in range(1, n + 1)}
     hist2 = {v: {} for v in range(1, n + 1)}
-    for mask in range(1 << m):
-        k = mask.bit_count()
-        if k < n - 2 or k > n:
-            continue
-        subset = [edges[i] for i in range(m) if mask >> i & 1]
-        roots, edge_count = components(n, subset)
-        omega = len(roots)
-        if k == n - 2:
-            # n-2 edges in exactly two components forces two trees.
-            if omega == 2:
-                (c1, c2) = roots.values()
-                for u in c1:
-                    for v in c2:
-                        key = (u, v) if u < v else (v, u)
-                        forests[key] = forests.get(key, 0) + 1
-        elif k == n - 1:
-            if omega == 1:
-                trees += 1
-                for v in range(1, n + 1):
-                    iota2[v] += 1
-                    hist2[v][1] = hist2[v].get(1, 0) + 1
-                continue
-            # With n-1 edges, an all-(tree or odd-unicyclic) factor has
-            # exactly one tree component; the rest must be odd-unicyclic.
-            tree_comp = None
-            good = True
-            for r, verts in roots.items():
-                if edge_count[r] == len(verts) - 1:
-                    if tree_comp is not None:
-                        good = False
-                        break
-                    tree_comp = verts
-                elif not _is_odd_unicyclic(verts, [e for e in subset
-                                                  if e[0] in set(verts)]):
-                    good = False
-                    break
-            if good and tree_comp is not None:
-                weight = 4 ** (omega - 1)
-                for v in tree_comp:
-                    iota2[v] += weight
-                    hist2[v][omega] = hist2[v].get(omega, 0) + 1
-        else:
-            if all(_is_odd_unicyclic(verts,
-                                     [e for e in subset if e[0] in set(verts)])
-                   for verts in roots.values()):
-                iota1 += 4 ** omega
-                hist1[omega] = hist1.get(omega, 0) + 1
-    return trees, forests, (iota1, hist1), {v: (iota2[v], hist2[v])
-                                            for v in range(1, n + 1)}
+    for (part, omega), count in sorted(tree_parts.items(),
+                                       key=lambda item: item[0][1]):
+        for v in vertices(part):
+            iota2[v] += count * 4 ** (omega - 1)
+            hist2[v][omega] = hist2[v].get(omega, 0) + count
+    iota1 = sum(count * 4 ** omega for omega, count in odd.items())
+    return (tree_parts.get((full, 1), 0), two_forests,
+            (iota1, dict(sorted(odd.items()))),
+            {v: (iota2[v], hist2[v]) for v in range(1, n + 1)})
 
 
 def _int_det(mat):
@@ -198,9 +241,11 @@ def factor_counts(g, u1, un, method="both"):
     chi1 = spanning_tree_count(g, method)
     chi2 = two_forest_count(g, u1, un, method)
     iota1, iota2 = odd_unicyclic_sums(g, u1, method)
-    data = _enumerate_factors(g)
-    hist = {"odd_unicyclic": dict(data[2][1]),
-            "tree_plus_odd_unicyclic": dict(data[3][u1][1])}
+    hist = None
+    if method != "det":
+        data = _enumerate_factors(g)
+        hist = {"odd_unicyclic": dict(data[2][1]),
+                "tree_plus_odd_unicyclic": dict(data[3][u1][1])}
     return FactorCounts(chi1, chi2, iota1, iota2, g.m, hist)
 
 

@@ -89,7 +89,7 @@ def _fixed_point_matrix(inst):
     return RatMatrix.identity(2 * inst.graph.m) - internal_operator(inst)
 
 
-def stationary_state(inst):
+def stationary_state(inst, unit_states=None):
     """The exact stationary state psi on A0, via (I - E) psi = rho.
 
     I - E may have a kernel: confined eigenstates supported on internal
@@ -98,10 +98,20 @@ def stationary_state(inst):
     the minimum-norm solution; that is what is returned.  An inconsistent
     source (no stationary state at all) raises SingularMatrixError,
     surfaced to the caller, never handled silently.
+
+    Given ``unit_states`` (from ``unit_stationary_states``), psi is built
+    as sum_k alpha_k psi_k without another reduction: rho is linear in
+    the inflow alpha and so is the minimum-norm solution.
     """
-    a = _fixed_point_matrix(inst)
-    psi = a.solve_min_norm(source_vector(inst))
-    return ArcField.from_vector(inst.graph, psi)
+    if unit_states is None:
+        a = _fixed_point_matrix(inst)
+        psi = a.solve_min_norm(source_vector(inst))
+        return ArcField.from_vector(inst.graph, psi)
+    return ArcField(inst.graph, {
+        arc: sum((alpha * state[arc]
+                  for alpha, state in zip(inst.inflow, unit_states)),
+                 RAT_ZERO)
+        for arc in inst.graph.arcs})
 
 
 def outflow(inst, psi, inflow=None):

@@ -8,9 +8,101 @@ from grwalk.factors import (FactorMismatchError, closed_form_comfort,
                             cycle_incidence_check, factor_counts,
                             odd_unicyclic_sums, spanning_tree_count,
                             two_forest_count)
-from grwalk.graphs import (Graph, bipartition, complete_graph, cycle_graph,
-                           enumerate_connected, path_graph, star_graph)
+from grwalk.graphs import (Graph, bipartition, complete_graph, components,
+                           cycle_graph, enumerate_connected, path_graph,
+                           star_graph, vertex_pairs)
 from grwalk.ratlin import rat
+
+
+def _is_odd_unicyclic(vertices, edges):
+    """Connected component test: edges = vertices and the unique cycle,
+    exposed by repeatedly stripping degree-1 vertices, has odd length."""
+    if len(edges) != len(vertices):
+        return False
+    adj = {v: set() for v in vertices}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    queue = [v for v in vertices if len(adj[v]) == 1]
+    alive = set(vertices)
+    while queue:
+        v = queue.pop()
+        if v not in alive or len(adj[v]) != 1:
+            continue
+        alive.discard(v)
+        (w,) = adj[v]
+        adj[w].discard(v)
+        adj[v].clear()
+        if len(adj[w]) == 1:
+            queue.append(w)
+    return len(alive) % 2 == 1
+
+
+def _reference_enumeration(g):
+    """The unpruned oracle: classify every one of the 2^m edge subsets
+    from scratch.  Same return shape as factors._enumerate_factors."""
+    n, edges = g.n, g.edges
+    m = len(edges)
+    trees = 0
+    forests = {}
+    iota1 = 0
+    hist1 = {}
+    iota2 = {v: 0 for v in range(1, n + 1)}
+    hist2 = {v: {} for v in range(1, n + 1)}
+    for mask in range(1 << m):
+        k = mask.bit_count()
+        if k < n - 2 or k > n:
+            continue
+        subset = [edges[i] for i in range(m) if mask >> i & 1]
+        roots, edge_count = components(n, subset)
+        omega = len(roots)
+        if k == n - 2:
+            # n-2 edges in exactly two components forces two trees.
+            if omega == 2:
+                (c1, c2) = roots.values()
+                for u in c1:
+                    for v in c2:
+                        key = (u, v) if u < v else (v, u)
+                        forests[key] = forests.get(key, 0) + 1
+        elif k == n - 1:
+            if omega == 1:
+                trees += 1
+                for v in range(1, n + 1):
+                    iota2[v] += 1
+                    hist2[v][1] = hist2[v].get(1, 0) + 1
+                continue
+            # With n-1 edges, an all-(tree or odd-unicyclic) factor has
+            # exactly one tree component; the rest must be odd-unicyclic.
+            tree_comp = None
+            good = True
+            for r, verts in roots.items():
+                if edge_count[r] == len(verts) - 1:
+                    if tree_comp is not None:
+                        good = False
+                        break
+                    tree_comp = verts
+                elif not _is_odd_unicyclic(verts, [e for e in subset
+                                                  if e[0] in set(verts)]):
+                    good = False
+                    break
+            if good and tree_comp is not None:
+                weight = 4 ** (omega - 1)
+                for v in tree_comp:
+                    iota2[v] += weight
+                    hist2[v][omega] = hist2[v].get(omega, 0) + 1
+        else:
+            if all(_is_odd_unicyclic(verts,
+                                     [e for e in subset if e[0] in set(verts)])
+                   for verts in roots.values()):
+                iota1 += 4 ** omega
+                hist1[omega] = hist1.get(omega, 0) + 1
+    return trees, forests, (iota1, hist1), {v: (iota2[v], hist2[v])
+                                            for v in range(1, n + 1)}
+
+
+def _histograms_ascend(result):
+    hists = [result[2][1]] + [hist for _, hist in result[3].values()]
+    return all(list(h) == sorted(h) for h in hists)
 
 
 def test_spanning_trees():
@@ -114,6 +206,59 @@ def test_mutated_determinant_is_detected(monkeypatch):
     monkeypatch.setattr(factors, "signless_laplacian", real_laplacian)
     with pytest.raises(FactorMismatchError):
         odd_unicyclic_sums(complete_graph(4), 1, method="both")
+
+
+def test_search_equals_reference_on_small_catalog():
+    for n in range(2, 6):
+        for g in enumerate_connected(n):
+            got = factors._enumerate_factors.__wrapped__(g)
+            assert got == _reference_enumeration(g), g.edges
+            assert _histograms_ascend(got)
+
+
+@st.composite
+def connected_graphs(draw, n_max=7, m_max=12):
+    """A random spanning tree plus extra edges, at most m_max in all."""
+    n = draw(st.integers(2, n_max))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    others = [p for p in vertex_pairs(n) if p not in edges]
+    extra = draw(st.lists(st.sampled_from(others), unique=True,
+                          max_size=min(len(others), m_max - (n - 1)))
+                 if others else st.just([]))
+    return Graph(n, sorted(edges | set(extra)))
+
+
+@given(connected_graphs())
+@settings(max_examples=40, deadline=None)
+def test_search_equals_reference_on_random_graphs(g):
+    got = factors._enumerate_factors.__wrapped__(g)
+    assert got == _reference_enumeration(g)
+    assert _histograms_ascend(got)
+
+
+def test_n2_empty_subset_is_the_only_two_forest():
+    g = Graph(2, [(1, 2)])
+    assert factors._enumerate_factors.__wrapped__(g) == \
+        (1, {(1, 2): 1}, (0, {}), {1: (1, {1: 1}), 2: (1, {1: 1})})
+
+
+def test_k7_counts_by_both_methods():
+    fc = factor_counts(complete_graph(7), 1, 7, "both")
+    assert fc.chi1 == 7 ** 5                      # Cayley's formula
+    assert fc.chi2 == 2 * 7 ** 4                  # det(nI - J), (n-2)x(n-2)
+    assert fc.iota1 == sum(4 ** w * c for w, c in
+                           fc.omega_histogram["odd_unicyclic"].items())
+
+
+def test_det_mode_never_enumerates(monkeypatch):
+    def forbidden(g):
+        raise AssertionError("det mode must not enumerate")
+
+    monkeypatch.setattr(factors, "_enumerate_factors", forbidden)
+    fc = factor_counts(complete_graph(5), 1, 5, "det")
+    assert (fc.chi1, fc.omega_histogram) == (125, None)
+    assert closed_form_comfort(complete_graph(5), 1, 5) > 0
+    assert closed_form_comfort(cycle_graph(4), 1, 3) == rat(5, 4)
 
 
 def test_bad_method_rejected():

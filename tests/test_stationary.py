@@ -8,7 +8,8 @@ from grwalk.ratlin import RatMatrix, rat
 from grwalk.stationary import (comfortability_direct, grover_matrix,
                                internal_operator, outflow,
                                predicted_scattering, scattering,
-                               source_vector, stationary_state, with_inflow)
+                               source_vector, stationary_state,
+                               unit_stationary_states, with_inflow)
 
 
 def test_internal_operator_single_edge():
@@ -94,6 +95,25 @@ def test_fixed_point_property():
     rho = source_vector(inst)
     vec = psi.vector()
     assert [a + b for a, b in zip(e.mul_vec(vec), rho)] == vec
+
+
+def test_stationary_state_from_unit_states_is_identical():
+    # psi is linear in the inflow, so sum_k alpha_k psi_k must equal the
+    # direct min-norm solve exactly, including on graphs whose I - E has
+    # a kernel (even cycles, complete graphs) and for z = +1.
+    petal = Graph(5, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 3)])
+    cases = [
+        WalkInstance(cycle_graph(4), (1, 3), (rat(1), rat(0)), -1),
+        WalkInstance(cycle_graph(6), (1, 2), (rat(-3, 7), rat(5, 2)), -1),
+        WalkInstance(complete_graph(5), (1, 2, 4),
+                     (rat(2, 3), rat(0), rat(-1, 5)), -1),
+        WalkInstance(petal, (2, 5), (rat(1), rat(1)), 1),
+        WalkInstance(star_graph(4), (2,), (rat(7, 3),), -1),
+    ]
+    for inst in cases:
+        states = unit_stationary_states(inst)
+        assert stationary_state(inst, unit_states=states) == \
+            stationary_state(inst)
 
 
 def test_outflow_examples():
