@@ -27,8 +27,8 @@ from .factors import (FactorCounts, FactorMismatchError, closed_form_comfort,
                       cycle_incidence_check, factor_counts,
                       odd_unicyclic_sums, spanning_tree_count,
                       two_forest_count)
-from .simulate import SimulationTrace, TruncatedState, simulate, step, \
-    write_trace_csv
+from .simulate import SimulationTrace, TruncatedState, contraction_rate, \
+    simulate, step, write_trace_csv
 from .catalog import (AnalysisReport, CatalogRow, RankReport, analyze,
                       gamma_graphs, rank, selftest, standard_sweep)
 

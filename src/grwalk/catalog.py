@@ -22,7 +22,7 @@ from .graphs import WalkInstance, bipartition, canonical_form, \
     enumerate_connected, odd_cycle_witness
 from .potential import bipartite_route, kirchhoff_audit, nonbipartite_route
 from .ratlin import rat
-from .simulate import simulate
+from .simulate import contraction_rate, simulate
 from .stationary import comfortability_direct, outflow, scattering, \
     stationary_state, unit_stationary_states
 
@@ -233,10 +233,13 @@ def analyze(inst, simulate_steps=None):
     simulation = None
     if simulate_steps:
         trace = simulate(inst, simulate_steps, exact=psi)
+        rate, predicted = contraction_rate(inst)
         simulation = {"steps": trace.steps,
                       "converged_at": trace.converged_at,
                       "final_residual": trace.residuals[-1],
-                      "distance_to_exact": trace.final_distance}
+                      "distance_to_exact": trace.final_distance,
+                      "contraction_rate": rate,
+                      "predicted_steps": predicted}
     return AnalysisReport(inst, part is not None, part,
                           None if part else odd_cycle_witness(g),
                           psi, routes, agree, report.beta, report.sigma,

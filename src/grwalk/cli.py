@@ -12,7 +12,7 @@ import sys
 from .catalog import analyze, rank, selftest
 from .graphs import GraphError, parse_instance
 from .ratlin import SingularMatrixError, format_rational
-from .simulate import simulate, write_trace_csv
+from .simulate import contraction_rate, simulate, write_trace_csv
 from .stationary import stationary_state
 
 
@@ -123,7 +123,9 @@ def cmd_analyze(args):
         s = report.simulation
         print(f"simulation: {s['steps']} steps, final residual "
               f"{s['final_residual']:.3e}, distance to exact "
-              f"{s['distance_to_exact']:.3e}")
+              f"{s['distance_to_exact']:.3e}, contraction rate "
+              f"{s['contraction_rate']:.4f} (predicted "
+              f"{s['predicted_steps']} steps to 1e-10)")
     return 0 if report.ok else 1
 
 
@@ -195,6 +197,10 @@ def cmd_simulate(args):
     print(f"final residual: {trace.residuals[-1]:.6e}")
     print(f"sup-norm distance to exact stationary state: "
           f"{trace.final_distance:.6e}")
+    rate, predicted = contraction_rate(inst, args.residual_stop)
+    print(f"contraction rate: {rate:.4f} (largest |eigenvalue| of E inside "
+          f"the unit circle); predicted steps to residual "
+          f"{args.residual_stop:g}: {predicted}")
     return 0
 
 

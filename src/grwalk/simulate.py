@@ -8,94 +8,120 @@ missing tail beyond the horizon cannot influence any internal arc within
 T steps (amplitudes propagate at speed one), so the trace on the internal
 arcs is exact up to float rounding.
 
+Only the internal arcs are stored.  Every inbound tail arc holds the
+constant inflow alpha at every step, so a step is psi <- E psi + S alpha
+with the source S alpha computed once.  An outbound tail arc at depth d
+holds what the boundary coin sent out d + 1 steps earlier; ``amplitudes``
+derives it from the internal vector of that earlier state, reached
+through the ``previous`` links.
+
 Tail vertices are labelled ("t", j, d): depth d >= 1 on the tail attached
 to the j-th boundary vertex.
 """
 from __future__ import annotations
 
 import csv
-import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stationary import internal_operator
+from .stationary import operator_entries
+
+# Steps per vectorised residual pass in ``simulate``.
+_BLOCK = 64
+# Moduli at or above this count as on the unit circle (confined states).
+_UNIT_CIRCLE = 1.0 - 1e-9
+# An outbound tail arc the inflow has not reached yet.
+_ZERO = np.float64(0.0)
 
 
-@functools.lru_cache(maxsize=None)
+def _phase_sign(inst):
+    return -1.0 if inst.phase == -1 else 1.0
+
+
 def _float_operator(inst):
-    e = internal_operator(inst)
-    mat = np.array([[float(x) for x in row] for row in e.data])
-    # Source of a unit inflow per tail, kept separate so the inbound tail
-    # amplitude can vary during a step.
-    n_arcs = 2 * inst.graph.m
-    unit_sources = np.zeros((n_arcs, inst.r))
-    eps = -1.0 if inst.phase == -1 else 1.0
+    """(E, S alpha, alpha) in doubles: E is float() of every exact entry,
+    S puts the coin weight eps 2/deg~(v) of boundary vertex v on its
+    out-arcs."""
     g = inst.graph
+    n_arcs = 2 * g.m
+    mat = np.zeros((n_arcs, n_arcs))
+    for i, j, value in operator_entries(inst):
+        mat[i, j] = float(value)
+    unit_sources = np.zeros((n_arcs, inst.r))
+    eps = _phase_sign(inst)
     for j, v in enumerate(inst.boundary):
         w = eps * 2.0 / inst.tilde_degree(v)
         for x in g.neighbors(v):
             unit_sources[g.arc_index((v, x)), j] = w
-    return mat, unit_sources
+    alpha = np.array([float(a) for a in inst.inflow])
+    return mat, unit_sources @ alpha, alpha
 
 
-@dataclass
+@dataclass(slots=True)
 class TruncatedState:
-    """Walker amplitudes on the internal arcs plus tails cut at depth L."""
+    """Walker amplitudes on the internal arcs plus tails cut at depth L.
+
+    Only the internal arcs are stored; the tail arcs are derived in
+    ``amplitudes`` from the inflow and from earlier states.
+    """
 
     instance: object
     horizon: int
     internal: np.ndarray            # indexed by the graph's arc order
-    tails_in: list = field(default_factory=list)   # [0] = arc entering the graph
-    tails_out: list = field(default_factory=list)  # [0] = arc leaving the graph
+    previous: TruncatedState = field(default=None, repr=False,
+                                     compare=False)  # one step earlier
+    operator: tuple = field(default=None, repr=False, compare=False)
 
     @classmethod
     def initial(cls, inst, horizon):
         """The constant-inflow start: alpha_j on every inbound tail arc."""
-        tails_in = [np.full(horizon, float(a)) for a in inst.inflow]
-        tails_out = [np.zeros(horizon) for _ in inst.boundary]
+        if horizon < 1:
+            raise ValueError("the tail horizon must be at least 1")
         return cls(inst, horizon, np.zeros(2 * inst.graph.m),
-                   tails_in, tails_out)
+                   operator=_float_operator(inst))
+
+    def _boundary_out(self, j):
+        """What the coin at the j-th boundary vertex sends down its tail
+        from this state: one coin application over the internal in-arcs
+        plus the inbound tail arc."""
+        inst = self.instance
+        g = inst.graph
+        v = inst.boundary[j]
+        entering = self.operator[2][j]
+        w = 2.0 / inst.tilde_degree(v)
+        incoming = sum(self.internal[g.arc_index((x, v))]
+                       for x in g.neighbors(v))
+        return _phase_sign(inst) * (w * (entering + incoming) - entering)
 
     def amplitudes(self):
         """Amplitude of every arc of the truncated tailed graph."""
         g = self.instance.graph
         out = {a: self.internal[i] for i, a in enumerate(g.arcs)}
+        earlier = []                 # earlier[d]: the state d + 1 steps back
+        state = self.previous
+        while state is not None and len(earlier) < self.horizon:
+            earlier.append(state)
+            state = state.previous
+        alpha = self.operator[2]
         for j, v in enumerate(self.instance.boundary):
             nodes = [v] + [("t", j, d) for d in range(1, self.horizon + 1)]
             for d in range(self.horizon):
-                out[(nodes[d + 1], nodes[d])] = self.tails_in[j][d]
-                out[(nodes[d], nodes[d + 1])] = self.tails_out[j][d]
+                out[(nodes[d + 1], nodes[d])] = alpha[j]
+                out[(nodes[d], nodes[d + 1])] = (
+                    earlier[d]._boundary_out(j) if d < len(earlier)
+                    else _ZERO)
         return out
 
 
 def step(state, inst):
     """One application of the time evolution: signed Grover coins at the
-    internal vertices, pass-through on tail vertices, constant inflow
-    refreshed at the horizon."""
-    g = inst.graph
-    mat, unit_sources = _float_operator(inst)
-    entering = np.array([t[0] for t in state.tails_in])
-    internal = mat @ state.internal + unit_sources @ entering
-    eps = -1.0 if inst.phase == -1 else 1.0
-    tails_in = []
-    tails_out = []
-    for j, v in enumerate(inst.boundary):
-        # Outbound arc at the boundary vertex: one coin application over
-        # the internal in-arcs plus the inbound tail arc.
-        w = 2.0 / inst.tilde_degree(v)
-        incoming = sum(state.internal[g.arc_index((x, v))]
-                       for x in g.neighbors(v))
-        boundary_out = eps * (w * (entering[j] + incoming) - entering[j])
-        new_in = np.empty(state.horizon)
-        new_in[:-1] = state.tails_in[j][1:]
-        new_in[-1] = float(inst.inflow[j])
-        new_out = np.empty(state.horizon)
-        new_out[0] = boundary_out
-        new_out[1:] = state.tails_out[j][:-1]
-        tails_in.append(new_in)
-        tails_out.append(new_out)
-    return TruncatedState(inst, state.horizon, internal, tails_in, tails_out)
+    internal vertices fed by the constant inflow.  ``inst`` must be the
+    state's instance."""
+    mat, source, _ = state.operator
+    return TruncatedState(inst, state.horizon, mat @ state.internal + source,
+                          state, state.operator)
 
 
 @dataclass
@@ -120,7 +146,8 @@ def simulate(inst, steps, horizon=None, exact=None, residual_stop=1e-10):
     Stops early once the internal residual drops below ``residual_stop``
     (pass None to always run the full count).  When ``exact`` (an exact
     stationary ArcField) is given, the final sup-norm distance to it is
-    reported.
+    reported.  The snapshots share memory with the states' internal
+    vectors.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -130,20 +157,44 @@ def simulate(inst, steps, horizon=None, exact=None, residual_stop=1e-10):
     snapshots = []
     residuals = []
     converged_at = None
-    for k in range(1, steps + 1):
-        new = step(state, inst)
-        snapshots.append(new.internal.copy())
-        residuals.append(float(np.max(np.abs(new.internal - state.internal))))
-        state = new
-        if residual_stop is not None and residuals[-1] < residual_stop:
-            converged_at = k
-            break
+    while len(snapshots) < steps and converged_at is None:
+        block = [state]
+        for _ in range(min(_BLOCK, steps - len(snapshots))):
+            block.append(step(block[-1], inst))
+        vectors = np.array([s.internal for s in block])
+        res = np.abs(np.diff(vectors, axis=0)).max(axis=1).tolist()
+        if residual_stop is not None:
+            hit = next((k for k, r in enumerate(res) if r < residual_stop),
+                       None)
+            if hit is not None:
+                del block[hit + 2:], res[hit + 1:]
+                converged_at = len(snapshots) + hit + 1
+        snapshots.extend(s.internal for s in block[1:])
+        residuals.extend(res)
+        state = block[-1]
     distance = None
     if exact is not None:
         target = np.array([float(x) for x in exact.vector()])
         distance = float(np.max(np.abs(state.internal - target)))
     return SimulationTrace(inst, snapshots, residuals, state,
                            converged_at, distance)
+
+
+def contraction_rate(inst, residual_stop=1e-10):
+    """(rate, steps): the largest |lambda| of the float E strictly inside
+    the unit circle, and the steps k with rate**k below ``residual_stop``.
+
+    Eigenvalues on the unit circle belong to confined states, which the
+    inflow never excites from the zero start, so ``rate`` bounds how fast
+    the residual envelope decays.  This costs an eigendecomposition of a
+    2m x 2m matrix; ``simulate`` never calls it.
+    """
+    moduli = np.abs(np.linalg.eigvals(_float_operator(inst)[0]))
+    inside = moduli[moduli < _UNIT_CIRCLE]
+    rate = float(inside.max()) if inside.size else 0.0
+    if rate == 0.0:
+        return rate, 1
+    return rate, max(1, math.ceil(math.log(residual_stop) / math.log(rate)))
 
 
 def write_trace_csv(trace, path):

@@ -55,21 +55,33 @@ def grover_matrix(r):
                       for i in range(r)])
 
 
+def operator_entries(inst):
+    """The nonzero entries (i, j, value) of E, row by row: for arc
+    a_i = (u, t) and arc b_j = (x, u), value = eps (2/deg~(u) - [x = t]).
+
+    The two exact coin weights of each vertex are computed once and
+    shared by its entries."""
+    g = inst.graph
+    eps = coin_sign(inst.phase)
+    weights = {}
+    for u in range(1, g.n + 1):
+        w = rat(2, inst.tilde_degree(u))
+        weights[u] = (eps * w, eps * (w - RAT_ONE))
+    for i, (u, t) in enumerate(g.arcs):
+        onward, reverse = weights[u]
+        for x in g.neighbors(u):
+            val = reverse if x == t else onward
+            if val != 0:
+                yield i, g.arc_index((x, u)), val
+
+
 def internal_operator(inst):
     """E on C^{A0}: entry (a, b) = eps (2/deg~(o(a)) - delta_{a, rev b})
     whenever o(a) = t(b), with the phase sign eps folded in."""
-    g = inst.graph
-    eps = coin_sign(inst.phase)
-    arcs = g.arcs
-    mat = RatMatrix.zeros(len(arcs), len(arcs))
-    for i, (u, t) in enumerate(arcs):
-        w = rat(2, inst.tilde_degree(u))
-        for x in g.neighbors(u):
-            b = (x, u)
-            j = g.arc_index(b)
-            val = w - (RAT_ONE if x == t else RAT_ZERO)
-            if val != 0:
-                mat.data[i][j] = eps * val
+    n_arcs = 2 * inst.graph.m
+    mat = RatMatrix.zeros(n_arcs, n_arcs)
+    for i, j, val in operator_entries(inst):
+        mat.data[i][j] = val
     return mat
 
 

@@ -82,6 +82,10 @@ def test_analyze_with_simulation(k4_file, capsys):
     assert main(["analyze", k4_file, "--simulate", "300"]) == 0
     out = capsys.readouterr().out
     assert "simulation:" in out
+    assert "contraction rate 0.8431 (predicted 135 steps to 1e-10)" in out
+    assert main(["analyze", k4_file, "--simulate", "300", "--json"]) == 0
+    sim = json.loads(capsys.readouterr().out)["simulation"]
+    assert sim["converged_at"] == 127 and sim["predicted_steps"] == 135
 
 
 def test_analyze_missing_file(capsys):
@@ -130,6 +134,7 @@ def test_simulate_cmd(c4_file, tmp_path, capsys):
                  "--out", str(out_csv)]) == 0
     text = capsys.readouterr().out
     assert "distance to exact" in text
+    assert "contraction rate: 0.7769" in text
     with open(out_csv, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][:3] == ["step", "arc_origin", "arc_terminus"]

@@ -1,13 +1,17 @@
 """Float simulator: step semantics, convergence, truncation, CSV export."""
 import csv
+import itertools
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from grwalk.graphs import (Graph, WalkInstance, complete_graph, cycle_graph,
-                           standard_instance)
+                           enumerate_connected, standard_instance)
 from grwalk.ratlin import rat
-from grwalk.simulate import (SimulationTrace, TruncatedState, simulate, step,
+from grwalk.simulate import (SimulationTrace, TruncatedState, _float_operator,
+                             contraction_rate, simulate, step,
                              write_trace_csv)
 from grwalk.stationary import (comfortability_direct, internal_operator,
                                source_vector, stationary_state)
@@ -151,3 +155,238 @@ def test_trace_csv_format(tmp_path):
     snap = trace.snapshots[0]
     for i, r in enumerate(body[:8]):
         assert float(r[3]) == snap[i]
+
+
+# The tail-array simulator the library used to run, kept as the reference
+# for the derived-tail one: both tails stored as length-L arrays, shifted
+# by one every step, the inbound one refilled with the inflow.
+
+class _ReferenceState:
+    def __init__(self, inst, horizon, internal, tails_in, tails_out):
+        self.instance = inst
+        self.horizon = horizon
+        self.internal = internal
+        self.tails_in = tails_in      # [0] = arc entering the graph
+        self.tails_out = tails_out    # [0] = arc leaving the graph
+
+    @classmethod
+    def initial(cls, inst, horizon):
+        return cls(inst, horizon, np.zeros(2 * inst.graph.m),
+                   [np.full(horizon, float(a)) for a in inst.inflow],
+                   [np.zeros(horizon) for _ in inst.boundary])
+
+    def amplitudes(self):
+        g = self.instance.graph
+        out = {a: self.internal[i] for i, a in enumerate(g.arcs)}
+        for j, v in enumerate(self.instance.boundary):
+            nodes = [v] + [("t", j, d) for d in range(1, self.horizon + 1)]
+            for d in range(self.horizon):
+                out[(nodes[d + 1], nodes[d])] = self.tails_in[j][d]
+                out[(nodes[d], nodes[d + 1])] = self.tails_out[j][d]
+        return out
+
+
+def _reference_operator(inst):
+    mat = np.array([[float(x) for x in row]
+                    for row in internal_operator(inst).data])
+    unit_sources = np.zeros((2 * inst.graph.m, inst.r))
+    eps = -1.0 if inst.phase == -1 else 1.0
+    g = inst.graph
+    for j, v in enumerate(inst.boundary):
+        w = eps * 2.0 / inst.tilde_degree(v)
+        for x in g.neighbors(v):
+            unit_sources[g.arc_index((v, x)), j] = w
+    return mat, unit_sources
+
+
+def _reference_step(state, inst, operator):
+    g = inst.graph
+    mat, unit_sources = operator
+    entering = np.array([t[0] for t in state.tails_in])
+    internal = mat @ state.internal + unit_sources @ entering
+    eps = -1.0 if inst.phase == -1 else 1.0
+    tails_in = []
+    tails_out = []
+    for j, v in enumerate(inst.boundary):
+        w = 2.0 / inst.tilde_degree(v)
+        incoming = sum(state.internal[g.arc_index((x, v))]
+                       for x in g.neighbors(v))
+        boundary_out = eps * (w * (entering[j] + incoming) - entering[j])
+        new_in = np.empty(state.horizon)
+        new_in[:-1] = state.tails_in[j][1:]
+        new_in[-1] = float(inst.inflow[j])
+        new_out = np.empty(state.horizon)
+        new_out[0] = boundary_out
+        new_out[1:] = state.tails_out[j][:-1]
+        tails_in.append(new_in)
+        tails_out.append(new_out)
+    return _ReferenceState(inst, state.horizon, internal, tails_in, tails_out)
+
+
+def _reference_simulate(inst, steps, horizon=None, exact=None,
+                        residual_stop=1e-10):
+    """(snapshots, residuals, final state, converged_at, final_distance)."""
+    if horizon is None:
+        horizon = steps + 2
+    operator = _reference_operator(inst)
+    state = _ReferenceState.initial(inst, horizon)
+    snapshots = []
+    residuals = []
+    converged_at = None
+    for k in range(1, steps + 1):
+        new = _reference_step(state, inst, operator)
+        snapshots.append(new.internal.copy())
+        residuals.append(float(np.max(np.abs(new.internal - state.internal))))
+        state = new
+        if residual_stop is not None and residuals[-1] < residual_stop:
+            converged_at = k
+            break
+    distance = None
+    if exact is not None:
+        target = np.array([float(x) for x in exact.vector()])
+        distance = float(np.max(np.abs(state.internal - target)))
+    return snapshots, residuals, state, converged_at, distance
+
+
+def _grid_graph(rows, cols):
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j + 1
+            if j + 1 < cols:
+                edges.append((v, v + 1))
+            if i + 1 < rows:
+                edges.append((v, v + cols))
+    return Graph(rows * cols, edges)
+
+
+def _petersen_graph():
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(6 + i, 6 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+def _equivalence_instances():
+    """40 seeded n <= 5 configurations (both phases, one to three tails,
+    rational and zero inflows), Petersen, and the 4x4 grid with three
+    rational tails."""
+    rng = random.Random(20221)
+    graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
+    inflows = [rat(1), rat(0), rat(-2, 3), rat(5, 7), rat(3)]
+    out = []
+    for k in range(40):
+        g = rng.choice(graphs)
+        r = rng.randint(1, min(3, g.n))
+        boundary = tuple(rng.sample(range(1, g.n + 1), r))
+        inflow = tuple(rng.choice(inflows) for _ in boundary)
+        if k % 8 == 0:
+            inflow = (rat(0),) * r
+        out.append(WalkInstance(g, boundary, inflow, (-1, 1)[k % 2]))
+    out.append(standard_instance(_petersen_graph(), 1, 10))
+    out.append(WalkInstance(_grid_graph(4, 4), (1, 16, 4),
+                            (rat(1, 2), rat(-1, 3), rat(2)), -1))
+    return out
+
+
+def _assert_same_trace(trace, ref):
+    snapshots, residuals, final, converged_at, distance = ref
+    assert trace.steps == len(snapshots)
+    assert b"".join(s.tobytes() for s in trace.snapshots) == \
+        b"".join(s.tobytes() for s in snapshots)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(trace.snapshots, snapshots))
+    assert trace.residuals == residuals
+    assert trace.converged_at == converged_at
+    assert trace.final_distance == distance
+    assert trace.final.internal.tobytes() == final.internal.tobytes()
+    got, want = trace.final.amplitudes(), final.amplitudes()
+    assert list(got) == list(want)
+    assert all(np.float64(got[a]).tobytes() == np.float64(want[a]).tobytes()
+               for a in want)
+
+
+@pytest.mark.parametrize("inst", _equivalence_instances(), ids=repr)
+def test_derived_tails_equal_tail_arrays(inst):
+    steps = 300
+    exact = stationary_state(inst)
+    for stop in (None, 1e-10):
+        for horizon in (None, 40, 1):
+            trace = simulate(inst, steps, horizon=horizon, exact=exact,
+                             residual_stop=stop)
+            _assert_same_trace(trace, _reference_simulate(
+                inst, steps, horizon=horizon, exact=exact,
+                residual_stop=stop))
+
+
+def test_early_stop_stays_exact_across_blocks():
+    # K4 (1, 4) first drops below 1e-10 at step 127, inside the second
+    # block of 64: the trace must end there, as the stepwise loop did.
+    inst = standard_instance(complete_graph(4), 1, 4)
+    for steps in (126, 127, 128, 1000):
+        _assert_same_trace(simulate(inst, steps),
+                           _reference_simulate(inst, steps))
+    assert simulate(inst, 1000).converged_at == 127
+
+
+def test_step_leaves_its_input_unchanged():
+    inst = WalkInstance(cycle_graph(5), (1, 3), (rat(2), rat(-1, 2)), 1)
+    state = simulate(inst, 5, residual_stop=None).final
+    before = state.internal.copy()
+    amps_before = state.amplitudes()
+    a = step(state, inst)
+    b = step(state, inst)
+    assert a is not b and a.internal is not b.internal
+    assert np.array_equal(a.internal, b.internal)
+    a.internal[:] = 7.0
+    assert np.array_equal(state.internal, before)
+    assert not np.array_equal(b.internal, a.internal)
+    assert state.amplitudes() == amps_before
+    assert a.previous is state and b.previous is state
+
+
+def test_huge_step_count_stops_early_in_small_memory():
+    inst = standard_instance(complete_graph(4), 1, 4)
+    tracemalloc.start()
+    try:
+        trace = simulate(inst, 10 ** 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.converged_at == 127
+    assert peak < 10 * 2 ** 20
+
+
+def test_horizon_must_be_positive():
+    inst = standard_instance(complete_graph(4), 1, 4)
+    for h in (0, -3):
+        with pytest.raises(ValueError):
+            TruncatedState.initial(inst, h)
+        with pytest.raises(ValueError):
+            simulate(inst, 10, horizon=h)
+
+
+@pytest.mark.parametrize("phase", [-1, 1])
+def test_float_operator_is_the_exact_operator(phase):
+    # Every entry of the float E is float() of the exact entry, including
+    # the reversal weights eps (2/d - 1), on every n <= 4 graph and tail set.
+    for n in range(2, 5):
+        for g in enumerate_connected(n):
+            for r in range(1, n + 1):
+                for boundary in itertools.combinations(range(1, n + 1), r):
+                    inst = WalkInstance(g, boundary, (rat(1),) * r, phase)
+                    exact = internal_operator(inst).data
+                    mat = _float_operator(inst)[0]
+                    want = np.array([[float(x) for x in row]
+                                     for row in exact])
+                    assert mat.tobytes() == want.tobytes()
+
+
+def test_contraction_rate():
+    k4 = standard_instance(complete_graph(4), 1, 4)
+    rate, steps = contraction_rate(k4)
+    assert abs(rate - 0.8431) < 5e-5
+    assert 133 <= steps <= 137
+    rate, steps = contraction_rate(standard_instance(cycle_graph(4), 1, 4))
+    assert abs(rate - 0.7769) < 5e-5
+    assert 89 <= steps <= 93
