@@ -198,9 +198,14 @@ def cmd_simulate(args):
     print(f"sup-norm distance to exact stationary state: "
           f"{trace.final_distance:.6e}")
     rate, predicted = contraction_rate(inst, args.residual_stop)
+    if predicted is None:
+        prediction = (f"no early stop at residual threshold "
+                      f"{args.residual_stop:g}")
+    else:
+        prediction = (f"predicted steps to residual "
+                      f"{args.residual_stop:g}: {predicted}")
     print(f"contraction rate: {rate:.4f} (largest |eigenvalue| of E inside "
-          f"the unit circle); predicted steps to residual "
-          f"{args.residual_stop:g}: {predicted}")
+          f"the unit circle); {prediction}")
     return 0
 
 

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .stationary import operator_entries
+from .stationary import coin_sign, operator_entries
 
 # Steps per vectorised residual pass in ``simulate``.
 _BLOCK = 64
@@ -36,27 +38,37 @@ _UNIT_CIRCLE = 1.0 - 1e-9
 _ZERO = np.float64(0.0)
 
 
-def _phase_sign(inst):
-    return -1.0 if inst.phase == -1 else 1.0
+class _FloatOperator(NamedTuple):
+    """The float dynamics psi <- mat psi + source, and what the boundary
+    coins need to send their outflow down the tails."""
+
+    mat: np.ndarray                 # E
+    source: np.ndarray              # S alpha
+    alpha: np.ndarray               # inflow per tail
+    sign: float                     # coin sign eps, exactly +-1
+    weights: list                   # 2/deg~(v) per boundary vertex v
+    in_arcs: list                   # internal in-arcs of v, neighbour order
 
 
 def _float_operator(inst):
-    """(E, S alpha, alpha) in doubles: E is float() of every exact entry,
-    S puts the coin weight eps 2/deg~(v) of boundary vertex v on its
-    out-arcs."""
+    """E is float() of every exact entry; S puts the coin weight
+    eps 2/deg~(v) of boundary vertex v on its out-arcs."""
     g = inst.graph
     n_arcs = 2 * g.m
     mat = np.zeros((n_arcs, n_arcs))
     for i, j, value in operator_entries(inst):
         mat[i, j] = float(value)
+    sign = float(coin_sign(inst.phase))
+    weights = [2.0 / inst.tilde_degree(v) for v in inst.boundary]
     unit_sources = np.zeros((n_arcs, inst.r))
-    eps = _phase_sign(inst)
     for j, v in enumerate(inst.boundary):
-        w = eps * 2.0 / inst.tilde_degree(v)
         for x in g.neighbors(v):
-            unit_sources[g.arc_index((v, x)), j] = w
+            unit_sources[g.arc_index((v, x)), j] = sign * weights[j]
     alpha = np.array([float(a) for a in inst.inflow])
-    return mat, unit_sources @ alpha, alpha
+    in_arcs = [[g.arc_index((x, v)) for x in g.neighbors(v)]
+               for v in inst.boundary]
+    return _FloatOperator(mat, unit_sources @ alpha, alpha, sign, weights,
+                          in_arcs)
 
 
 @dataclass(slots=True)
@@ -64,7 +76,10 @@ class TruncatedState:
     """Walker amplitudes on the internal arcs plus tails cut at depth L.
 
     Only the internal arcs are stored; the tail arcs are derived in
-    ``amplitudes`` from the inflow and from earlier states.
+    ``amplitudes`` from the inflow and from earlier states.  A state keeps
+    the one before it alive through ``previous``, so a chain of ``step``
+    calls keeps every state it made unless the caller cuts the link; only
+    the ``horizon`` states behind a state are ever read back.
     """
 
     instance: object
@@ -86,14 +101,10 @@ class TruncatedState:
         """What the coin at the j-th boundary vertex sends down its tail
         from this state: one coin application over the internal in-arcs
         plus the inbound tail arc."""
-        inst = self.instance
-        g = inst.graph
-        v = inst.boundary[j]
-        entering = self.operator[2][j]
-        w = 2.0 / inst.tilde_degree(v)
-        incoming = sum(self.internal[g.arc_index((x, v))]
-                       for x in g.neighbors(v))
-        return _phase_sign(inst) * (w * (entering + incoming) - entering)
+        op = self.operator
+        entering = op.alpha[j]
+        incoming = sum(self.internal[i] for i in op.in_arcs[j])
+        return op.sign * (op.weights[j] * (entering + incoming) - entering)
 
     def amplitudes(self):
         """Amplitude of every arc of the truncated tailed graph."""
@@ -104,7 +115,7 @@ class TruncatedState:
         while state is not None and len(earlier) < self.horizon:
             earlier.append(state)
             state = state.previous
-        alpha = self.operator[2]
+        alpha = self.operator.alpha
         for j, v in enumerate(self.instance.boundary):
             nodes = [v] + [("t", j, d) for d in range(1, self.horizon + 1)]
             for d in range(self.horizon):
@@ -118,10 +129,11 @@ class TruncatedState:
 def step(state, inst):
     """One application of the time evolution: signed Grover coins at the
     internal vertices fed by the constant inflow.  ``inst`` must be the
-    state's instance."""
-    mat, source, _ = state.operator
-    return TruncatedState(inst, state.horizon, mat @ state.internal + source,
-                          state, state.operator)
+    state's instance.  The new state links to ``state`` (see
+    ``TruncatedState``)."""
+    op = state.operator
+    return TruncatedState(inst, state.horizon,
+                          op.mat @ state.internal + op.source, state, op)
 
 
 @dataclass
@@ -147,13 +159,15 @@ def simulate(inst, steps, horizon=None, exact=None, residual_stop=1e-10):
     (pass None to always run the full count).  When ``exact`` (an exact
     stationary ArcField) is given, the final sup-norm distance to it is
     reported.  The snapshots share memory with the states' internal
-    vectors.
+    vectors.  Links to states more than ``horizon`` steps behind the
+    newest one are cut, since ``amplitudes`` never reads them.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     if horizon is None:
         horizon = steps + 2
     state = TruncatedState.initial(inst, horizon)
+    recent = deque([state], maxlen=horizon + 1)
     snapshots = []
     residuals = []
     converged_at = None
@@ -169,6 +183,10 @@ def simulate(inst, steps, horizon=None, exact=None, residual_stop=1e-10):
             if hit is not None:
                 del block[hit + 2:], res[hit + 1:]
                 converged_at = len(snapshots) + hit + 1
+        for s in block[1:]:
+            recent.append(s)
+            if len(recent) == recent.maxlen:
+                recent[0].previous = None
         snapshots.extend(s.internal for s in block[1:])
         residuals.extend(res)
         state = block[-1]
@@ -183,16 +201,20 @@ def simulate(inst, steps, horizon=None, exact=None, residual_stop=1e-10):
 def contraction_rate(inst, residual_stop=1e-10):
     """(rate, steps): the largest |lambda| of the float E strictly inside
     the unit circle, and the steps k with rate**k below ``residual_stop``.
+    ``steps`` is None when ``residual_stop`` is None or not positive: the
+    residual never drops below such a threshold.
 
     Eigenvalues on the unit circle belong to confined states, which the
     inflow never excites from the zero start, so ``rate`` bounds how fast
     the residual envelope decays.  This costs an eigendecomposition of a
     2m x 2m matrix; ``simulate`` never calls it.
     """
-    moduli = np.abs(np.linalg.eigvals(_float_operator(inst)[0]))
+    moduli = np.abs(np.linalg.eigvals(_float_operator(inst).mat))
     inside = moduli[moduli < _UNIT_CIRCLE]
     rate = float(inside.max()) if inside.size else 0.0
-    if rate == 0.0:
+    if residual_stop is None or not residual_stop > 0:
+        return rate, None
+    if rate == 0.0 or residual_stop >= 1:
         return rate, 1
     return rate, max(1, math.ceil(math.log(residual_stop) / math.log(rate)))
 

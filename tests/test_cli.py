@@ -141,5 +141,17 @@ def test_simulate_cmd(c4_file, tmp_path, capsys):
     assert len(rows) > 1
 
 
+def test_simulate_without_early_stop(c4_file, capsys):
+    # A threshold <= 0 is never reached: the full step count runs and the
+    # rate is printed without a prediction.
+    for stop in ("0", "-1"):
+        assert main(["simulate", c4_file, "--steps", "150",
+                     "--residual-stop", stop]) == 0
+        text = capsys.readouterr().out
+        assert "steps run: 150 (requested 150)" in text
+        assert "contraction rate: 0.7769" in text
+        assert "no early stop at residual threshold" in text
+
+
 def test_simulate_bad_steps(c4_file, capsys):
     assert main(["simulate", c4_file, "--steps", "0"]) == 2

@@ -376,7 +376,7 @@ def test_float_operator_is_the_exact_operator(phase):
                 for boundary in itertools.combinations(range(1, n + 1), r):
                     inst = WalkInstance(g, boundary, (rat(1),) * r, phase)
                     exact = internal_operator(inst).data
-                    mat = _float_operator(inst)[0]
+                    mat = _float_operator(inst).mat
                     want = np.array([[float(x) for x in row]
                                      for row in exact])
                     assert mat.tobytes() == want.tobytes()
@@ -390,3 +390,24 @@ def test_contraction_rate():
     rate, steps = contraction_rate(standard_instance(cycle_graph(4), 1, 4))
     assert abs(rate - 0.7769) < 5e-5
     assert 89 <= steps <= 93
+
+
+def test_contraction_rate_without_a_positive_threshold():
+    # The residual never drops below a threshold <= 0, so there is no
+    # prediction; any threshold >= 1 is met after one step.
+    k4 = standard_instance(complete_graph(4), 1, 4)
+    rate = contraction_rate(k4)[0]
+    for stop in (None, 0.0, -1.0, float("nan")):
+        assert contraction_rate(k4, stop) == (rate, None)
+    for stop in (1.0, float("inf")):
+        assert contraction_rate(k4, stop) == (rate, 1)
+
+
+def test_simulate_links_only_horizon_states_behind_the_final():
+    inst = standard_instance(complete_graph(4), 1, 4)
+    for horizon in (1, 5, 200):
+        trace = simulate(inst, 130, horizon=horizon, residual_stop=None)
+        depth, state = 0, trace.final
+        while state.previous is not None:
+            depth, state = depth + 1, state.previous
+        assert depth == min(horizon, 130)
