@@ -231,7 +231,7 @@ def analyze(inst, simulate_steps=None):
     report = scattering(inst, unit_states=states)
     audit = kirchhoff_audit(inst, psi) if inst.phase == -1 else None
     simulation = None
-    if simulate_steps:
+    if simulate_steps is not None:
         trace = simulate(inst, simulate_steps, exact=psi)
         rate, predicted = contraction_rate(inst)
         simulation = {"steps": trace.steps,

@@ -53,6 +53,9 @@ def _instance_dict(inst):
 
 def cmd_analyze(args):
     inst = _load_instance(args.file)
+    if args.simulate is not None and args.simulate < 1:
+        print("error: --simulate must be at least 1", file=sys.stderr)
+        return 2
     try:
         report = analyze(inst, simulate_steps=args.simulate)
     except SingularMatrixError as exc:
@@ -121,11 +124,14 @@ def cmd_analyze(args):
               f"iota1={f.iota1} iota2={f.iota2}")
     if report.simulation is not None:
         s = report.simulation
-        print(f"simulation: {s['steps']} steps, final residual "
+        status = (f"not converged in {s['steps']} steps"
+                  if s["converged_at"] is None
+                  else f"converged at step {s['converged_at']}")
+        print(f"simulation: {status} (predicted {s['predicted_steps']} "
+              f"steps to residual 1e-10), final residual "
               f"{s['final_residual']:.3e}, distance to exact "
               f"{s['distance_to_exact']:.3e}, contraction rate "
-              f"{s['contraction_rate']:.4f} (predicted "
-              f"{s['predicted_steps']} steps to 1e-10)")
+              f"{s['contraction_rate']:.4f}")
     return 0 if report.ok else 1
 
 

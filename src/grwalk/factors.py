@@ -14,6 +14,12 @@ superset of such a subset is a factor of any family, so the search still
 visits every factor exactly once, yet it skips nearly all of the 2^m
 subsets.  It counts factors one by one and shares nothing with the
 determinant code, which keeps it an independent check.
+
+Every determinant count is a principal minor of one of two matrices of
+the graph, so a bounded per-graph memo builds each matrix at most once
+and takes each minor's determinant at most once.  A sweep over all
+ordered boundary pairs of a graph (``catalog.rank``) then pays for a few
+determinants per graph instead of several per pair and phase.
 """
 from __future__ import annotations
 
@@ -183,6 +189,42 @@ def _int_det(mat):
     return int(d.numerator)
 
 
+class _MinorDeterminants:
+    """Principal-minor determinants of one graph's Laplacian (signless
+    False) and signless Laplacian (signless True).
+
+    Each matrix is built on first use and each determinant is taken once,
+    keyed by the sorted tuple of dropped vertices.  The matrices never
+    leave this object, so no caller can change a memoised count.
+    """
+
+    __slots__ = ("graph", "matrices", "dets")
+
+    def __init__(self, g):
+        self.graph = g
+        self.matrices = {}
+        self.dets = {}
+
+    def __call__(self, signless, dropped):
+        key = (signless, dropped)
+        value = self.dets.get(key)
+        if value is None:
+            mat = self.matrices.get(signless)
+            if mat is None:
+                build = signless_laplacian if signless else laplacian
+                mat = self.matrices[signless] = build(self.graph)
+            index = [v - 1 for v in dropped]
+            value = self.dets[key] = _int_det(mat.minor(index, index))
+        return value
+
+
+@functools.lru_cache(maxsize=32)
+def _minor_determinants(g):
+    """The memo of g's minor determinants (bounded like the enumeration
+    cache, so a catalog sweep keeps only the graphs it recently visited)."""
+    return _MinorDeterminants(g)
+
+
 def _check(name, method, enum_value, det_value):
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}")
@@ -202,7 +244,7 @@ def spanning_tree_count(g, method="both"):
     if method != "det":
         enum_value = _enumerate_factors(g)[0]
     if method != "enum":
-        det_value = _int_det(laplacian(g).minor([g.n - 1], [g.n - 1]))
+        det_value = _minor_determinants(g)(False, (g.n,))
     return _check("chi1", method, enum_value, det_value)
 
 
@@ -216,8 +258,7 @@ def two_forest_count(g, u1, un, method="both"):
     if method != "det":
         enum_value = _enumerate_factors(g)[1].get(key, 0)
     if method != "enum":
-        det_value = _int_det(laplacian(g).minor([u1 - 1, un - 1],
-                                                [u1 - 1, un - 1]))
+        det_value = _minor_determinants(g)(False, key)
     return _check("chi2", method, enum_value, det_value)
 
 
@@ -230,9 +271,9 @@ def odd_unicyclic_sums(g, u1, method="both"):
         enum1 = data[2][0]
         enum2 = data[3][u1][0]
     if method != "enum":
-        q = signless_laplacian(g)
-        det1 = _int_det(q)
-        det2 = _int_det(q.minor([u1 - 1], [u1 - 1]))
+        dets = _minor_determinants(g)
+        det1 = dets(True, ())
+        det2 = dets(True, (u1,))
     return (_check("iota1", method, enum1, det1),
             _check("iota2", method, enum2, det2))
 

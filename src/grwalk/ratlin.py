@@ -71,7 +71,10 @@ class RatMatrix:
         for row in data:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
-        self.data = [[rat(x) for x in row] for row in data]
+        # Fraction(x, 1) renormalises even a Fraction through the generic
+        # Rational path; entries that already are Fractions are kept.
+        self.data = [[x if type(x) is Fraction else rat(x) for x in row]
+                     for row in data]
 
     @classmethod
     def zeros(cls, rows, cols):

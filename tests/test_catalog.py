@@ -48,6 +48,24 @@ def test_rank_members_account_for_everything():
     assert sum(r.members for r in report.rows) == report.configurations == 456
 
 
+@pytest.mark.parametrize("z, rows, ties, largest, smallest, total", [
+    (-1, 39, 26, "11/4", "7/24", "179693/12"),
+    (1, 55, 42, "13/5", "5/4", "11478479/462"),
+])
+def test_rank_n5_tables(z, rows, ties, largest, smallest, total):
+    # total is the energy summed over all 14560 configurations, so one
+    # wrong value anywhere in the table changes it.
+    report = rank(5, z)
+    comforts = [r.comfort for r in report.rows]
+    assert len(report.rows) == rows
+    assert report.configurations == 14560
+    assert sum(r.members for r in report.rows) == 14560
+    assert len(report.class_maxima) == 21
+    assert len(report.tie_groups) == ties
+    assert (str(max(comforts)), str(min(comforts))) == (largest, smallest)
+    assert str(sum(r.comfort * r.members for r in report.rows)) == total
+
+
 def test_tie_groups_are_descending():
     report = rank(4, -1)
     values = [report.rows[g[0]].comfort for g in report.tie_groups]

@@ -81,11 +81,27 @@ def test_json_and_human_rationals_match(c4_file, capsys):
 def test_analyze_with_simulation(k4_file, capsys):
     assert main(["analyze", k4_file, "--simulate", "300"]) == 0
     out = capsys.readouterr().out
-    assert "simulation:" in out
-    assert "contraction rate 0.8431 (predicted 135 steps to 1e-10)" in out
+    assert "simulation: converged at step 127 (predicted 135 steps to " \
+        "residual 1e-10)" in out
+    assert "contraction rate 0.8431" in out
     assert main(["analyze", k4_file, "--simulate", "300", "--json"]) == 0
     sim = json.loads(capsys.readouterr().out)["simulation"]
     assert sim["converged_at"] == 127 and sim["predicted_steps"] == 135
+    # Too few steps: the line says so instead of reading as converged.
+    assert main(["analyze", k4_file, "--simulate", "50"]) == 0
+    out = capsys.readouterr().out
+    assert "simulation: not converged in 50 steps (predicted 135 " in out
+    assert main(["analyze", k4_file, "--simulate", "50", "--json"]) == 0
+    sim = json.loads(capsys.readouterr().out)["simulation"]
+    assert sim["converged_at"] is None and sim["steps"] == 50
+
+
+def test_analyze_bad_simulate_steps(k4_file, capsys):
+    for steps in ("0", "-3"):
+        assert main(["analyze", k4_file, "--simulate", steps]) == 2
+        captured = capsys.readouterr()
+        assert "error: --simulate must be at least 1" in captured.err
+        assert captured.out == ""
 
 
 def test_analyze_missing_file(capsys):

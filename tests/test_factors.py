@@ -11,6 +11,7 @@ from grwalk.factors import (FactorMismatchError, closed_form_comfort,
 from grwalk.graphs import (Graph, bipartition, complete_graph, components,
                            cycle_graph, enumerate_connected, path_graph,
                            star_graph, vertex_pairs)
+from grwalk.potential import laplacian, signless_laplacian
 from grwalk.ratlin import rat
 
 
@@ -98,6 +99,18 @@ def _reference_enumeration(g):
                 hist1[omega] = hist1.get(omega, 0) + 1
     return trees, forests, (iota1, hist1), {v: (iota2[v], hist2[v])
                                             for v in range(1, n + 1)}
+
+
+def _reference_closed_form(g, u1, un, z):
+    """closed_form_comfort without the per-graph memo: a fresh Laplacian
+    or signless-Laplacian minor for every count."""
+    if z == -1 and bipartition(g) is None:
+        iota1 = int(signless_laplacian(g).det())
+        iota2 = int(signless_laplacian(g).minor([u1 - 1], [u1 - 1]).det())
+        return rat(iota2, iota1)
+    chi1 = int(laplacian(g).minor([g.n - 1], [g.n - 1]).det())
+    chi2 = int(laplacian(g).minor([u1 - 1, un - 1], [u1 - 1, un - 1]).det())
+    return (rat(chi2, chi1) + rat(g.m)) / rat(4)
 
 
 def _histograms_ascend(result):
@@ -204,6 +217,10 @@ def test_mutated_determinant_is_detected(monkeypatch):
     from grwalk.potential import laplacian as real_laplacian
 
     monkeypatch.setattr(factors, "signless_laplacian", real_laplacian)
+    # A fresh memo per call: determinants memoised before the patch must
+    # not hide it, nor may the corrupted ones outlive this test.
+    monkeypatch.setattr(factors, "_minor_determinants",
+                        factors._MinorDeterminants)
     with pytest.raises(FactorMismatchError):
         odd_unicyclic_sums(complete_graph(4), 1, method="both")
 
@@ -264,3 +281,47 @@ def test_det_mode_never_enumerates(monkeypatch):
 def test_bad_method_rejected():
     with pytest.raises(ValueError):
         spanning_tree_count(complete_graph(4), method="fast")
+
+
+def test_memo_equals_reference_closed_form():
+    # Every ordered pair of all 771 connected graphs with n = 2..5 at both
+    # phases, in two passes that each take every other pair of each graph.
+    # A graph's second visit comes after all the other graphs, long after
+    # the 32-entry memo evicted it; within a visit both matrices are
+    # used, the Laplacian first in one pass and the signless one first in
+    # the other.
+    graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
+    factors._minor_determinants.cache_clear()
+    for first, phases in enumerate([(1, -1), (-1, 1)]):
+        for g in graphs:
+            pairs = [(u1, un) for u1 in range(1, g.n + 1)
+                     for un in range(1, g.n + 1) if u1 != un]
+            for u1, un in pairs[first::2]:
+                for z in phases:
+                    assert closed_form_comfort(g, u1, un, z) == \
+                        _reference_closed_form(g, u1, un, z), \
+                        (g.edges, u1, un, z)
+    assert factors._minor_determinants.cache_info().misses == 2 * len(graphs)
+
+
+def test_memo_ignores_mutated_returned_matrices():
+    g = complete_graph(5)
+    factors._minor_determinants.cache_clear()
+    assert spanning_tree_count(g, "det") == 125
+    assert odd_unicyclic_sums(g, 1, "det")[0] == \
+        odd_unicyclic_sums(g, 1, "enum")[0]
+    for build in (laplacian, signless_laplacian):
+        for row in build(g).data:
+            row[:] = [rat(7)] * len(row)
+    # Minors taken after the mutation come from the memo's own matrices.
+    assert spanning_tree_count(g, "det") == 125
+    assert two_forest_count(g, 5, 2, "both") == 2 * 5 ** 2
+    assert odd_unicyclic_sums(g, 3, "det") == odd_unicyclic_sums(g, 3, "enum")
+
+
+def test_memo_stays_bounded_over_a_rank_sweep():
+    from grwalk.catalog import rank
+
+    rank(5, 1)
+    info = factors._minor_determinants.cache_info()
+    assert info.maxsize == 32 and info.currsize <= 32

@@ -1,4 +1,5 @@
 """Exact rational linear algebra: arithmetic, determinants, solvers."""
+from fractions import Fraction
 from itertools import permutations
 from math import prod
 
@@ -74,6 +75,17 @@ def test_identity_and_shape():
     assert i3.is_identity()
     z = RatMatrix.zeros(2, 3)
     assert z.rows == 2 and z.cols == 3
+
+
+def test_construction_makes_every_entry_a_fraction():
+    class Half(Fraction):
+        pass
+
+    m = RatMatrix([[1, True, rat(2, 4)], [Half(3, 6), -5, rat(0)]])
+    assert m.data == [[1, 1, rat(1, 2)], [rat(1, 2), -5, 0]]
+    assert all(type(x) is Fraction for row in m.data for x in row)
+    with pytest.raises(TypeError):
+        RatMatrix([[1.5]])
 
 
 @given(mat_strategy(3), mat_strategy(3))
