@@ -13,13 +13,14 @@ bipartite classes and descending among non-bipartite ones.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from contextvars import ContextVar
+from dataclasses import dataclass
 from itertools import combinations
 
 from .factors import FactorMismatchError, closed_form_comfort, factor_counts, \
     odd_unicyclic_sums, spanning_tree_count, two_forest_count
-from .graphs import WalkInstance, bipartition, canonical_form, \
-    enumerate_connected, odd_cycle_witness
+from .graphs import bipartition, canonical_form, enumerate_connected, \
+    odd_cycle_witness, standard_instance
 from .potential import bipartite_route, kirchhoff_audit, nonbipartite_route
 from .ratlin import rat
 from .simulate import contraction_rate, simulate
@@ -59,7 +60,7 @@ def standard_sweep(n, z=-1):
     for g in enumerate_connected(n):
         lab = scattering_label(g, z)
         for u, v in combinations(range(1, n + 1), 2):
-            inst = WalkInstance(g, (u, v), (rat(1), rat(0)), z)
+            inst = standard_instance(g, u, v, z)
             states = unit_stationary_states(inst)
             report = scattering(inst, unit_states=states)
             configs = []
@@ -185,22 +186,18 @@ class AnalysisReport:
     partition: object             # Bipartition or None
     odd_cycle: object             # witness cycle or None
     psi: object
-    energy_routes: list           # RouteValue per applicable route
+    energy_routes: list           # direct, closed form (standard only), potential
     routes_agree: bool
     beta: tuple
     sigma: object
     classification: str
-    audit: object                 # Kirchhoff audit report (z = -1)
+    audit: object                 # Kirchhoff audit report, at both phases
     factors: object               # FactorCounts for standard settings
     simulation: dict              # residual summary when requested
 
     @property
     def ok(self):
-        return self.routes_agree and (self.audit is None or self.audit.ok)
-
-
-def _standard_setting(inst):
-    return inst.r == 2 and inst.inflow == (rat(1), rat(0))
+        return self.routes_agree and self.audit.ok
 
 
 def analyze(inst, simulate_steps=None):
@@ -212,24 +209,22 @@ def analyze(inst, simulate_steps=None):
     psi = stationary_state(inst, unit_states=states)
     routes = [RouteValue("direct", comfortability_direct(psi))]
     factors = None
-    if _standard_setting(inst):
+    if inst.r == 2 and inst.inflow == (rat(1), rat(0)):
         u1, un = inst.boundary
         routes.append(RouteValue("closed-form",
                                  closed_form_comfort(g, u1, un, inst.phase)))
         factors = factor_counts(g, u1, un, method="both")
-        if inst.phase == -1:
-            if part is None:
-                _, psi2, energy = nonbipartite_route(inst)
-                routes.append(RouteValue("signless-potential", energy))
-            else:
-                _, psi2, energy = bipartite_route(inst)
-                routes.append(RouteValue("laplacian-potential", energy))
-            if psi2 != psi:
-                routes.append(RouteValue("potential-reconstruction-mismatch",
-                                         None))
+    if inst.phase == -1 and part is None:
+        _, psi2, energy = nonbipartite_route(inst)
+        routes.append(RouteValue("signless-potential", energy))
+    else:
+        _, psi2, energy = bipartite_route(inst)
+        routes.append(RouteValue("laplacian-potential", energy))
+    if psi2 != psi:
+        routes.append(RouteValue("potential-reconstruction-mismatch", None))
     agree = all(r.value == routes[0].value for r in routes)
     report = scattering(inst, unit_states=states)
-    audit = kirchhoff_audit(inst, psi) if inst.phase == -1 else None
+    audit = kirchhoff_audit(inst, psi)
     simulation = None
     if simulate_steps is not None:
         trace = simulate(inst, simulate_steps, exact=psi)
@@ -271,46 +266,53 @@ def _suite_worked_values():
     return ok, f"classes={values} labels={labels}"
 
 
-def _suite_three_routes(n_max=5):
+# The running selftest()'s list of sweep records; None outside selftest().
+_RUN_SWEEP = ContextVar("selftest_sweep", default=None)
+
+
+def _sweep_records():
+    """The records of standard_sweep(n) for n = 2..5, as a list.
+
+    Inside selftest() the first suite that asks sweeps and the later
+    suites share its list, which selftest() drops when it returns;
+    outside it, every call sweeps afresh."""
+    shared = _RUN_SWEEP.get()
+    if shared:
+        return shared
+    records = [rec for n in range(2, 6) for rec in standard_sweep(n)]
+    if shared is not None:
+        shared.extend(records)
+    return records
+
+
+def _suite_three_routes():
     bad = []
-    for n in range(2, n_max + 1):
-        for g, pair, configs, _ in standard_sweep(n):
-            for cfg in configs:
-                u1, un = cfg.boundary
-                closed = closed_form_comfort(g, u1, un, -1)
-                inst = WalkInstance(g, cfg.boundary, (rat(1), rat(0)), -1)
-                if bipartition(g) is None:
-                    _, psi2, pot = nonbipartite_route(inst)
-                else:
-                    _, psi2, pot = bipartite_route(inst)
-                if not (cfg.comfort == closed == pot and psi2.values ==
-                        {a: cfg.psi[a] for a in g.arcs}):
-                    bad.append((n, g.edges, cfg.boundary))
+    for g, pair, configs, _ in _sweep_records():
+        for cfg in configs:
+            u1, un = cfg.boundary
+            closed = closed_form_comfort(g, u1, un, -1)
+            inst = standard_instance(g, u1, un)
+            if bipartition(g) is None:
+                _, psi2, pot = nonbipartite_route(inst)
+            else:
+                _, psi2, pot = bipartite_route(inst)
+            if not (cfg.comfort == closed == pot and psi2.values ==
+                    {a: cfg.psi[a] for a in g.arcs}):
+                bad.append((g.n, g.edges, cfg.boundary))
     return not bad, f"{len(bad)} disagreements" + (f", first {bad[0]}" if bad else "")
 
 
-def _suite_scattering(n_max=5):
-    bad = 0
-    checked = 0
-    for n in range(2, n_max + 1):
-        for g, pair, configs, report in standard_sweep(n):
-            checked += 1
-            if not (report.orthogonal and report.matches_prediction):
-                bad += 1
-    return bad == 0, f"{checked} pairs checked, {bad} failures"
+def _suite_scattering():
+    reports = [report for _, _, _, report in _sweep_records()]
+    bad = sum(not (r.orthogonal and r.matches_prediction) for r in reports)
+    return bad == 0, f"{len(reports)} pairs checked, {bad} failures"
 
 
-def _suite_kirchhoff(n_max=5):
-    bad = 0
-    checked = 0
-    for n in range(2, n_max + 1):
-        for g, pair, configs, _ in standard_sweep(n):
-            for cfg in configs:
-                inst = WalkInstance(g, cfg.boundary, (rat(1), rat(0)), -1)
-                if not kirchhoff_audit(inst, cfg.psi).ok:
-                    bad += 1
-                checked += 1
-    return bad == 0, f"{checked} states audited, {bad} failures"
+def _suite_kirchhoff():
+    oks = [kirchhoff_audit(standard_instance(g, *cfg.boundary), cfg.psi).ok
+           for g, _, configs, _ in _sweep_records() for cfg in configs]
+    bad = oks.count(False)
+    return bad == 0, f"{len(oks)} states audited, {bad} failures"
 
 
 def _suite_factor_oracles(n_max=5):
@@ -340,13 +342,14 @@ def _suite_incidence():
 def _suite_simulator(n_max=4, steps=2000, tol=1e-6):
     worst = 0.0
     count = 0
-    for n in range(2, n_max + 1):
-        for g, pair, configs, _ in standard_sweep(n):
-            for cfg in configs:
-                inst = WalkInstance(g, cfg.boundary, (rat(1), rat(0)), -1)
-                trace = simulate(inst, steps, exact=cfg.psi)
-                worst = max(worst, trace.final_distance)
-                count += 1
+    for g, pair, configs, _ in _sweep_records():
+        if g.n > n_max:
+            continue
+        for cfg in configs:
+            inst = standard_instance(g, *cfg.boundary)
+            trace = simulate(inst, steps, exact=cfg.psi)
+            worst = max(worst, trace.final_distance)
+            count += 1
     return worst < tol, f"{count} instances, worst distance {worst:.3e}"
 
 
@@ -362,14 +365,19 @@ SELFTEST_SUITES = [
 
 
 def selftest():
-    """Run every invariant suite across the small-graph catalog."""
+    """Run every invariant suite across the small-graph catalog; the
+    suites share one catalog sweep."""
+    token = _RUN_SWEEP.set([])
     results = []
-    for name, fn in SELFTEST_SUITES:
-        start = time.perf_counter()
-        try:
-            ok, detail = fn()
-        except Exception as exc:          # a crashed suite is a failure
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(SuiteResult(name, ok, detail,
-                                   time.perf_counter() - start))
+    try:
+        for name, fn in SELFTEST_SUITES:
+            start = time.perf_counter()
+            try:
+                ok, detail = fn()
+            except Exception as exc:          # a crashed suite is a failure
+                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+            results.append(SuiteResult(name, ok, detail,
+                                       time.perf_counter() - start))
+    finally:
+        _RUN_SWEEP.reset(token)
     return results

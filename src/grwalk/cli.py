@@ -78,7 +78,7 @@ def cmd_analyze(args):
             "beta": [_fr(b) for b in report.beta],
             "sigma": _matrix_strs(report.sigma),
             "classification": report.classification,
-            "audit_ok": None if report.audit is None else report.audit.ok,
+            "audit_ok": report.audit.ok,
             "factors": (None if report.factors is None else {
                 "chi1": report.factors.chi1, "chi2": report.factors.chi2,
                 "iota1": report.factors.iota1, "iota2": report.factors.iota2,
@@ -112,12 +112,11 @@ def cmd_analyze(args):
         print("  [" + "  ".join(f"{x:>5s}" for x in row) + "]")
     if report.classification:
         print(f"scattering class: {report.classification}")
-    if report.audit is not None:
-        if report.audit.ok:
-            print("Kirchhoff audit: all laws hold")
-        else:
-            names = ", ".join(c.name for c in report.audit.failures())
-            print(f"Kirchhoff audit FAILED: {names}")
+    if report.audit.ok:
+        print("Kirchhoff audit: all laws hold")
+    else:
+        names = ", ".join(c.name for c in report.audit.failures())
+        print(f"Kirchhoff audit FAILED: {names}")
     if report.factors is not None:
         f = report.factors
         print(f"factors: chi1={f.chi1} chi2={f.chi2} "

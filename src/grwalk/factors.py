@@ -225,6 +225,12 @@ def _minor_determinants(g):
     return _MinorDeterminants(g)
 
 
+def _check_vertices(g, *vertices):
+    for v in vertices:
+        if not 1 <= v <= g.n:
+            raise ValueError(f"vertex {v} is outside 1..{g.n}")
+
+
 def _check(name, method, enum_value, det_value):
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}")
@@ -251,6 +257,7 @@ def spanning_tree_count(g, method="both"):
 def two_forest_count(g, u1, un, method="both"):
     """chi2: spanning two-component forests separating u1 from un
     (isolated vertices count as trees)."""
+    _check_vertices(g, u1, un)
     if u1 == un:
         raise ValueError("chi2 needs two distinct vertices")
     key = (u1, un) if u1 < un else (un, u1)
@@ -265,6 +272,7 @@ def two_forest_count(g, u1, un, method="both"):
 def odd_unicyclic_sums(g, u1, method="both"):
     """(iota1, iota2): 4^omega-weighted counts of the all-odd-unicyclic
     factors and the u1-tree-plus-odd-unicyclic factors."""
+    _check_vertices(g, u1)
     enum1 = enum2 = det1 = det2 = None
     if method != "det":
         data = _enumerate_factors(g)
@@ -296,6 +304,7 @@ def closed_form_comfort(g, u1, un, z=-1):
     the graph is non-bipartite and z=-1."""
     if z not in (1, -1):
         raise ValueError("z must be +1 or -1")
+    _check_vertices(g, u1, un)
     if z == -1 and bipartition(g) is None:
         iota1, iota2 = odd_unicyclic_sums(g, u1, method="det")
         return rat(iota2, iota1)

@@ -53,6 +53,8 @@ class Graph:
             if key in seen:
                 raise GraphError(f"duplicate edge {key}")
             seen.add(key)
+        if len(seen) < n - 1:          # before any O(n) allocation
+            raise GraphError("disconnected graph")
         self.n = n
         self.edges = tuple(sorted(seen))
         adj = {v: [] for v in range(1, n + 1)}

@@ -1,11 +1,13 @@
 """Laplacian / signless-Laplacian Poisson routes and Kirchhoff-law audits.
 
-The stationary state of the alternating walk hides an electrical network:
-on a bipartite internal graph it decomposes into a constant part plus a
-current obeying Kirchhoff's laws, with a vertex potential solving a
-Laplacian Poisson equation; on a non-bipartite graph the state itself is
-arc-symmetric and derives from a signless-Laplacian potential.  These
-routes reconstruct the stationary state independently of the arc solver.
+The stationary state of the walk hides an electrical network.  On a
+bipartite internal graph at z = -1, and on every internal graph at
+z = +1, it is a constant part plus a current obeying Kirchhoff's laws,
+with a vertex potential solving a grounded Laplacian Poisson equation;
+on a non-bipartite graph at z = -1 the state itself is arc-symmetric and
+derives from a signless-Laplacian potential.  Every instance thus has one
+potential route, any boundary size and inflow, and it reconstructs the
+stationary state independently of the arc solver.
 
 Sign convention: laplacian() returns the positive-semidefinite D - M, so
 the bipartite Poisson equation reads L phi = q (equivalently (M - D) phi
@@ -15,34 +17,31 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import add, sub
 
 from .graphs import bipartition
-from .ratlin import RAT_ONE, RAT_ZERO, RatMatrix, SingularMatrixError, rat
+from .ratlin import RAT_ONE, RAT_ZERO, RatMatrix, rat
 from .stationary import ArcField, outflow
 
 
-def adjacency_matrix(g):
+def _degrees_plus(g, off):
+    """D + off * M: off = -1 gives the Laplacian, off = 1 the signless one."""
     m = RatMatrix.zeros(g.n, g.n)
     for u, v in g.edges:
-        m.data[u - 1][v - 1] = RAT_ONE
-        m.data[v - 1][u - 1] = RAT_ONE
+        m.data[u - 1][v - 1] = m.data[v - 1][u - 1] = off
+    for v in range(1, g.n + 1):
+        m.data[v - 1][v - 1] = rat(g.degree(v))
     return m
 
 
 def laplacian(g):
     """L = D - M (positive semidefinite convention); tails excluded."""
-    m = adjacency_matrix(g).scale(-1)
-    for v in range(1, g.n + 1):
-        m.data[v - 1][v - 1] = rat(g.degree(v))
-    return m
+    return _degrees_plus(g, rat(-1))
 
 
 def signless_laplacian(g):
     """Q = D + M; nonsingular exactly when g is connected non-bipartite."""
-    m = adjacency_matrix(g)
-    for v in range(1, g.n + 1):
-        m.data[v - 1][v - 1] = rat(g.degree(v))
-    return m
+    return _degrees_plus(g, RAT_ONE)
 
 
 def incidence_oriented(g):
@@ -81,8 +80,8 @@ class VertexField:
 
 @dataclass
 class CurrentDecomposition:
-    """Constant part rho, current j, potential phi (grounded) for the
-    bipartite stationary state."""
+    """Constant part rho, current j, potential phi (grounded) of a
+    Laplacian-route stationary state."""
 
     rho: object
     current: ArcField
@@ -90,77 +89,70 @@ class CurrentDecomposition:
     ground: int
 
 
-def _require_standard(inst, want_bipartite):
+def _minus_side(inst):
+    """Where the Laplacian route's sign s(v) is -1: nowhere at z = +1; at
+    z = -1, the side of a bipartite graph without boundary[0].  None for a
+    non-bipartite graph at z = -1, the signless route's case."""
+    if inst.phase == 1:
+        return frozenset()
     part = bipartition(inst.graph)
-    if want_bipartite and part is None:
-        raise ValueError("this route needs a bipartite internal graph")
-    if not want_bipartite and part is not None:
-        raise ValueError("this route needs a non-bipartite internal graph")
-    if inst.r != 2 or inst.inflow != (rat(1), rat(0)):
-        raise ValueError("this route is scoped to two tails with inflow (1, 0)")
-    if inst.phase != -1:
-        raise ValueError("this route is scoped to phase -1")
-    return part
+    return None if part is None else part.oriented(inst.boundary[0]).Y
 
 
 def bipartite_route(inst):
-    """Reconstruct the stationary state of a standard bipartite instance
-    from a grounded Laplacian Poisson solve.
+    """Reconstruct the stationary state of a bipartite graph at z = -1, or
+    of any graph at z = +1, from a grounded Laplacian Poisson solve.
 
-    Returns (CurrentDecomposition, reconstructed ArcField, total energy).
-    The source has weight 1/2 at the inflow vertex; the constant part is
-    rho = 1/2 once the bipartition is oriented with u1 on the X side.
+    With rho = sum_j s(v_j) alpha_j / r, phi solves L phi = q grounded at
+    boundary[-1], where q(v_j) = s(v_j) alpha_j - rho and q = 0 off the
+    boundary; then psi(a) = s(t(a)) (j(a) + rho) with the current
+    j(a) = phi(o(a)) - phi(t(a)).  Returns (CurrentDecomposition,
+    reconstructed ArcField, total energy 1/2 sum j^2 + rho^2 |E|).
     """
-    part = _require_standard(inst, want_bipartite=True)
+    minus = _minus_side(inst)
+    if minus is None:
+        raise ValueError("at phase -1 this route needs a bipartite internal graph")
     g = inst.graph
-    u1, un = inst.boundary
-    part = part.oriented(u1)
-    rho = rat(1, 2)
-    ground = un
+    signed = {v: -a if v in minus else a
+              for v, a in zip(inst.boundary, inst.inflow)}
+    rho = sum(signed.values(), RAT_ZERO) / inst.r
+    ground = inst.boundary[-1]
     keep = [v for v in range(1, g.n + 1) if v != ground]
     lap = laplacian(g).minor([ground - 1], [ground - 1])
-    q = [rat(1, 2) if v == u1 else RAT_ZERO for v in keep]
-    sol = lap.solve(q)
-    phi = {v: x for v, x in zip(keep, sol)}
+    sol = lap.solve([signed[v] - rho if v in signed else RAT_ZERO
+                     for v in keep])
+    phi = dict(zip(keep, sol))
     phi[ground] = RAT_ZERO
-    current = {}
-    values = {}
-    for a in g.arcs:
-        o, t = a
-        j = phi[o] - phi[t]
-        current[a] = j
-        sign = RAT_ONE if t in part.X else rat(-1)
-        values[a] = sign * (j + rho)
-    j_field = ArcField(g, current)
-    psi = ArcField(g, values)
-    e_ec = rat(1, 2) * sum((j * j for j in current.values()), RAT_ZERO)
-    e_qw = e_ec + rho * rho * rat(g.m)
-    decomp = CurrentDecomposition(rho, j_field, VertexField(g, phi), ground)
+    current = {a: phi[a[0]] - phi[a[1]] for a in g.arcs}
+    psi = ArcField(g, {a: -(j + rho) if a[1] in minus else j + rho
+                       for a, j in current.items()})
+    # j is antisymmetric, so half its square sum over arcs is the sum over
+    # edges, and the cross term rho * sum j vanishes.
+    e_qw = sum((current[e] ** 2 for e in g.edges), RAT_ZERO) + \
+        rho * rho * rat(g.m)
+    decomp = CurrentDecomposition(rho, ArcField(g, current),
+                                  VertexField(g, phi), ground)
     return decomp, psi, e_qw
 
 
-def electrical_energy(decomp):
-    """Half the squared current mass over the internal arcs."""
-    return rat(1, 2) * sum((j * j for j in decomp.current.values.values()), RAT_ZERO)
-
-
 def nonbipartite_route(inst):
-    """Reconstruct the stationary state of a standard non-bipartite
-    instance from the signless-Laplacian Poisson solve Q phi = -q.
+    """Reconstruct the stationary state of a non-bipartite graph at z = -1
+    from the signless-Laplacian Poisson solve Q phi = -alpha, with alpha_j
+    placed at v_j: psi(a) = phi(o(a)) + phi(t(a)).
 
-    Returns (potential dict, reconstructed ArcField, total energy); the
-    energy equals the (u1, u1) entry of Q^{-1}.
+    Returns (potential, reconstructed ArcField, total energy); the energy
+    phi^T Q phi equals -sum_j alpha_j phi(v_j).
     """
-    _require_standard(inst, want_bipartite=False)
+    if _minus_side(inst) is not None:
+        raise ValueError("this route needs a non-bipartite internal graph "
+                         "at phase -1")
     g = inst.graph
-    u1 = inst.boundary[0]
-    q_mat = signless_laplacian(g)
-    q_vec = [rat(-1) if v == u1 else RAT_ZERO for v in range(1, g.n + 1)]
-    sol = q_mat.solve(q_vec)
-    phi = VertexField(g, {v: x for v, x in zip(range(1, g.n + 1), sol)})
-    values = {a: phi[a[0]] + phi[a[1]] for a in g.arcs}
-    psi = ArcField(g, values)
-    e_qw = -phi[u1]   # <Q^{-1} q, q> with q the u1 indicator
+    vertices = range(1, g.n + 1)
+    sol = signless_laplacian(g).solve([-inst.inflow_at(v) for v in vertices])
+    phi = VertexField(g, dict(zip(vertices, sol)))
+    psi = ArcField(g, {a: phi[a[0]] + phi[a[1]] for a in g.arcs})
+    e_qw = -sum((a * phi[v] for v, a in zip(inst.boundary, inst.inflow)),
+                RAT_ZERO)
     return phi, psi, e_qw
 
 
@@ -227,62 +219,54 @@ class AuditReport:
 def kirchhoff_audit(inst, psi):
     """Verify the (pseudo-)Kirchhoff laws on an exact stationary state.
 
-    Audit failure signals an implementation bug, never an expected
-    runtime condition; the report lists every violated law.
+    At both phases psi(a) + z psi(rev a) is constant over the arcs leaving
+    each vertex, its tail included.  The Laplacian route's states (at
+    z = +1 with s = 1) then obey the current and voltage laws, the
+    signless route's the pseudo-Kirchhoff laws.  Audit failure signals an
+    implementation bug, never an expected runtime condition; the report
+    lists every violated law.
     """
-    if inst.phase != -1:
-        raise ValueError("Kirchhoff audits apply to phase -1 states")
     g = inst.graph
-    part = bipartition(g)
-    report = AuditReport(bipartite=part is not None)
+    report = AuditReport(bipartite=bipartition(g) is not None)
+    combine = sub if inst.phase == -1 else add
     beta = outflow(inst, psi)
-
-    # Per-vertex constancy of psi(a) - psi(rev a), tail arcs included via
-    # beta - alpha at the boundary.
-    constants = {}
+    tail = {v: combine(beta[j], inst.inflow[j])
+            for j, v in enumerate(inst.boundary)}
     const_ok = True
     for u in range(1, g.n + 1):
-        diffs = {psi[(u, x)] - psi[(x, u)] for x in g.neighbors(u)}
-        for j, v in enumerate(inst.boundary):
-            if v == u:
-                diffs.add(beta[j] - inst.inflow[j])
-        if len(diffs) != 1:
-            const_ok = False
-        constants[u] = diffs
-    report.add("per-vertex difference constancy", const_ok)
+        values = {combine(psi[(u, x)], psi[(x, u)]) for x in g.neighbors(u)}
+        if u in tail:
+            values.add(tail[u])
+        const_ok &= len(values) == 1
+    report.add("per-vertex difference constancy" if inst.phase == -1
+               else "per-vertex sum constancy", const_ok)
 
-    if part is None:
+    minus = _minus_side(inst)
+    if minus is None:
         _pseudo_audit(inst, psi, report)
     else:
-        _bipartite_audit(inst, psi, part, report)
+        _bipartite_audit(inst, psi, minus, report)
     return report
 
 
-def _bipartite_audit(inst, psi, part, report):
+def _bipartite_audit(inst, psi, minus, report):
     g = inst.graph
-    sign = {a: (RAT_ONE if a[1] in part.X else rat(-1)) for a in g.arcs}
+    # s(t(a)) psi(a) = rho + j(a) with an antisymmetric current j.
+    spsi = {a: -x if a[1] in minus else x for a, x in psi.items()}
+    sums = {spsi[(u, v)] + spsi[(v, u)] for u, v in g.edges}
+    report.add("constant part well defined", len(sums) == 1)
+    rho = next(iter(sums)) / 2
 
-    rhos = {rat(1, 2) * (sign[a] * psi[a] + sign[(a[1], a[0])] * psi[(a[1], a[0])])
-            for a in g.arcs}
-    report.add("constant part well defined", len(rhos) == 1)
-    rho = next(iter(rhos))
-
-    current = {a: sign[a] * psi[a] - rho for a in g.arcs}
+    current = {a: x - rho for a, x in spsi.items()}
     report.add("current arc antisymmetry",
-               all(current[a] + current[(a[1], a[0])] == 0 for a in g.arcs))
+               all(current[(u, v)] + current[(v, u)] == 0 for u, v in g.edges))
 
     # q from the tail arcs; the inbound arc at v_j carries alpha_j.
-    q = {}
-    for j, v in enumerate(inst.boundary):
-        tail_sign = RAT_ONE if v in part.X else rat(-1)
-        q[v] = tail_sign * inst.inflow[j] - rho
-    vertex_ok = True
-    for u in range(1, g.n + 1):
-        total = sum((current[(x, u)] for x in g.neighbors(u)), RAT_ZERO)
-        total += q.get(u, RAT_ZERO)
-        if total != 0:
-            vertex_ok = False
-    report.add("current law at vertices", vertex_ok)
+    q = {v: (-a if v in minus else a) - rho
+         for v, a in zip(inst.boundary, inst.inflow)}
+    report.add("current law at vertices", all(
+        sum((current[(x, u)] for x in g.neighbors(u)), q.get(u, RAT_ZERO)) == 0
+        for u in range(1, g.n + 1)))
     report.add("tail source balance", sum(q.values(), RAT_ZERO) == 0)
 
     cycle_ok = all(
@@ -295,24 +279,13 @@ def _pseudo_audit(inst, psi, report):
     g = inst.graph
     report.add("arc symmetry",
                all(psi[a] == psi[(a[1], a[0])] for a in g.arcs))
-    vertex_ok = True
-    for u in range(1, g.n + 1):
-        total = sum((psi[(x, u)] for x in g.neighbors(u)), RAT_ZERO)
-        total += inst.inflow_at(u)
-        if total != 0:
-            vertex_ok = False
-    report.add("current law at vertices", vertex_ok)
+    report.add("current law at vertices", all(
+        sum((psi[(x, u)] for x in g.neighbors(u)), inst.inflow_at(u)) == 0
+        for u in range(1, g.n + 1)))
 
     # Pseudo-voltage law, audited through potential existence: the
     # even-closed-walk statement is equivalent to psi being a signless
-    # gradient, which is finitely checkable by a zero-residual solve.
-    q_mat = signless_laplacian(g)
-    q_vec = [-inst.inflow_at(v) for v in range(1, g.n + 1)]
-    try:
-        sol = q_mat.solve(q_vec)
-    except SingularMatrixError:
-        report.add("potential existence", False, "signless Laplacian singular")
-        return
-    phi = {v: x for v, x in zip(range(1, g.n + 1), sol)}
+    # gradient, and the signless route's potential is the only candidate.
+    phi = nonbipartite_route(inst)[0]
     report.add("potential existence",
                all(psi[a] == phi[a[0]] + phi[a[1]] for a in g.arcs))

@@ -128,7 +128,8 @@ class RatMatrix:
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        return [sum((a * b for a, b in zip(row, v)), RAT_ZERO) for row in self.data]
+        return [sum((a * b for a, b in zip(row, v) if a), RAT_ZERO)
+                for row in self.data]
 
     def transpose(self):
         return RatMatrix([list(col) for col in zip(*self.data)])
@@ -136,6 +137,8 @@ class RatMatrix:
     def minor(self, drop_rows=(), drop_cols=()):
         """Submatrix with the given row/column indices removed (0-based)."""
         dr, dc = set(drop_rows), set(drop_cols)
+        if not (dr <= set(range(self.rows)) and dc <= set(range(self.cols))):
+            raise ValueError("minor index outside the matrix")
         return RatMatrix([[x for j, x in enumerate(row) if j not in dc]
                           for i, row in enumerate(self.data) if i not in dr])
 
@@ -199,7 +202,7 @@ class RatMatrix:
         """Exact solution of ``self @ x = b``, residual-verified before return."""
         x = self.solve_many([b])[0]
         residual = self.mul_vec(x)
-        if any(r != rat(bi) for r, bi in zip(residual, b)):
+        if any(r != bi for r, bi in zip(residual, b)):
             raise RuntimeError("exact solver produced a nonzero residual")
         return x
 
@@ -260,7 +263,7 @@ class RatMatrix:
         """Minimum-norm solution of ``self @ x = b``, residual-verified."""
         x = self.solve_min_norm_many([b])[0]
         residual = self.mul_vec(x)
-        if any(r != rat(bi) for r, bi in zip(residual, b)):
+        if any(r != bi for r, bi in zip(residual, b)):
             raise RuntimeError("exact solver produced a nonzero residual")
         return x
 

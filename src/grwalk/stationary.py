@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import bipartition
-from .ratlin import RAT_ONE, RAT_ZERO, RatMatrix, SingularMatrixError, rat
+from .ratlin import RAT_ONE, RAT_ZERO, RatMatrix, rat
 
 
 @dataclass
@@ -221,10 +221,8 @@ def scattering(inst, unit_states=None):
     orth = (sigma.transpose() * sigma).is_identity()
     part = bipartition(g)
     order = boundary_sort_order(inst, part)
-    perm = RatMatrix.zeros(r, r)
-    for new, old in enumerate(order):
-        perm.data[new][old] = RAT_ONE
-    sigma_sorted = perm * sigma * perm.transpose()
+    sigma_sorted = RatMatrix([[sigma.data[i][j] for j in order]
+                              for i in order])
     if inst.phase == -1:
         predicted = predicted_scattering(inst)
         matches = sigma_sorted == predicted

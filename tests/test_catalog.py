@@ -1,11 +1,14 @@
 """Catalog sweeps, analysis reports, and the self-test registry."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grwalk.catalog as catalog
 import grwalk.cli as cli
 from grwalk.catalog import analyze, gamma_graphs, rank, standard_sweep
-from grwalk.graphs import (WalkInstance, complete_graph, cycle_graph,
-                           standard_instance)
+from grwalk.graphs import (Graph, WalkInstance, complete_graph, cycle_graph,
+                           standard_instance, vertex_pairs)
+from grwalk.potential import bipartite_route, nonbipartite_route
 from grwalk.ratlin import rat
 
 
@@ -99,18 +102,21 @@ def test_analyze_nonstandard_inflow():
     inst = WalkInstance(cycle_graph(4), (1, 4), (rat(2), rat(1)), -1)
     report = analyze(inst)
     assert report.routes_agree
-    assert [r.name for r in report.energy_routes] == ["direct"]
+    names = [r.name for r in report.energy_routes]
+    assert names == ["direct", "laplacian-potential"]
     assert report.factors is None
     assert report.audit is not None and report.audit.ok
 
 
 def test_analyze_z_plus_one():
-    inst = standard_instance(cycle_graph(4), 1, 4, z=1)
-    report = analyze(inst)
-    assert report.routes_agree
-    names = [r.name for r in report.energy_routes]
-    assert names == ["direct", "closed-form"]
-    assert report.audit is None
+    for g, bip in ((cycle_graph(4), True), (complete_graph(4), False)):
+        report = analyze(standard_instance(g, 1, 4, z=1))
+        assert report.routes_agree and report.bipartite == bip
+        names = [r.name for r in report.energy_routes]
+        assert names == ["direct", "closed-form", "laplacian-potential"]
+        assert report.audit is not None and report.audit.ok
+        assert any(c.name == "per-vertex sum constancy"
+                   for c in report.audit.checks)
 
 
 def test_analyze_r3():
@@ -119,6 +125,66 @@ def test_analyze_r3():
     report = analyze(inst)
     assert report.routes_agree and report.factors is None
     assert report.sigma.is_identity()
+    assert [r.name for r in report.energy_routes] == \
+        ["direct", "signless-potential"]
+
+
+def test_selftest_suites_share_one_sweep(monkeypatch):
+    # Only n <= 3 is swept, to keep the test fast; the four sweep suites
+    # must ask for the catalog once per selftest() run, and the shared
+    # records must not outlive the run.
+    swept = []
+
+    def small_sweep(n, z=-1):
+        swept.append(n)
+        return standard_sweep(n, z) if n <= 3 else iter(())
+
+    monkeypatch.setattr(catalog, "standard_sweep", small_sweep)
+    suites = [entry for entry in catalog.SELFTEST_SUITES if entry[0] in
+              ("three-route-agreement", "scattering-theorem",
+               "kirchhoff-audits", "simulator-convergence")]
+    monkeypatch.setattr(catalog, "SELFTEST_SUITES", suites)
+    for _ in range(2):
+        swept.clear()
+        results = catalog.selftest()
+        assert swept == [2, 3, 4, 5]
+        assert all(r.ok for r in results)
+        assert results[1].detail == "13 pairs checked, 0 failures"
+        assert catalog._RUN_SWEEP.get() is None
+
+
+@st.composite
+def random_instances(draw):
+    """A connected graph on n <= 7 vertices, 1..min(3, n) tails with
+    rational inflows (zeros included) and either phase."""
+    n = draw(st.integers(2, 7))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    others = [p for p in vertex_pairs(n) if p not in edges]
+    extra = draw(st.lists(st.sampled_from(others), unique=True,
+                          max_size=min(len(others), 6))
+                 if others else st.just([]))
+    g = Graph(n, sorted(edges | set(extra)))
+    r = draw(st.integers(1, min(3, n)))
+    boundary = draw(st.permutations(range(1, n + 1)))[:r]
+    values = st.just(rat(0)) | st.fractions(-3, 3, max_denominator=4)
+    inflow = [draw(values) for _ in range(r)]
+    return WalkInstance(g, boundary, inflow, draw(st.sampled_from((-1, 1))))
+
+
+@given(random_instances())
+@settings(max_examples=100, deadline=None)
+def test_potential_route_on_random_instances(inst):
+    report = analyze(inst)
+    assert report.ok and report.audit is not None
+    direct, *_, potential = report.energy_routes
+    if inst.phase == -1 and not report.bipartite:
+        assert potential.name == "signless-potential"
+        _, psi, energy = nonbipartite_route(inst)
+    else:
+        assert potential.name == "laplacian-potential"
+        _, psi, energy = bipartite_route(inst)
+    assert potential.value == energy == direct.value
+    assert psi == report.psi
 
 
 def test_selftest_registry_and_cli_exit(monkeypatch, capsys):

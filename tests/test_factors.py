@@ -278,6 +278,24 @@ def test_det_mode_never_enumerates(monkeypatch):
     assert closed_form_comfort(cycle_graph(4), 1, 3) == rat(5, 4)
 
 
+@pytest.mark.parametrize("method", ["det", "enum", "both"])
+def test_vertices_outside_the_graph_rejected(method):
+    k5 = complete_graph(5)
+    with pytest.raises(ValueError, match="outside"):
+        two_forest_count(k5, 1, 7, method)
+    with pytest.raises(ValueError, match="outside"):
+        odd_unicyclic_sums(k5, 0, method)
+    with pytest.raises(ValueError, match="outside"):
+        factor_counts(k5, 6, 1, method)
+
+
+@pytest.mark.parametrize("u1, un, z", [(1, 7, 1), (1, 7, -1), (0, 2, -1),
+                                        (0, 2, 1)])
+def test_closed_form_rejects_vertices_outside_the_graph(u1, un, z):
+    with pytest.raises(ValueError, match="outside"):
+        closed_form_comfort(complete_graph(5), u1, un, z)
+
+
 def test_bad_method_rejected():
     with pytest.raises(ValueError):
         spanning_tree_count(complete_graph(4), method="fast")

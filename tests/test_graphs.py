@@ -33,6 +33,15 @@ def test_graph_validation():
         Graph(4, [(1, 2), (3, 4)])         # disconnected
 
 
+def test_too_few_edges_fail_before_any_per_vertex_work():
+    # Fewer than n - 1 edges cannot connect n vertices; a billion-vertex
+    # graph is rejected without building its adjacency.
+    with pytest.raises(GraphError, match="disconnected"):
+        Graph(10 ** 9, [(1, 2)])
+    with pytest.raises(InstanceParseError, match="disconnected"):
+        parse_instance(f"n {10 ** 9}\ntail 1 1\n")
+
+
 def test_factories():
     assert complete_graph(4).m == 6
     assert cycle_graph(5).m == 5

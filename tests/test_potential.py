@@ -1,14 +1,15 @@
 """Poisson routes, incidence identities, and Kirchhoff audits."""
 import pytest
 
-from grwalk.graphs import (Graph, bipartition, complete_graph, cycle_graph,
-                           path_graph, standard_instance)
+from grwalk.graphs import (Graph, WalkInstance, bipartition, complete_graph,
+                           cycle_graph, path_graph, standard_instance)
 from grwalk.potential import (bipartite_route, fundamental_cycles,
                               incidence_nonoriented, incidence_oriented,
                               kirchhoff_audit, laplacian, nonbipartite_route,
                               signless_laplacian)
 from grwalk.ratlin import RatMatrix, rat
-from grwalk.stationary import outflow, stationary_state, with_inflow
+from grwalk.stationary import comfortability_direct, stationary_state, \
+    with_inflow
 
 
 def test_laplacian_single_edge():
@@ -99,12 +100,28 @@ def test_routes_reject_wrong_parity():
         bipartite_route(standard_instance(complete_graph(4), 1, 4))
     with pytest.raises(ValueError):
         nonbipartite_route(standard_instance(cycle_graph(4), 1, 4))
+    # At z = +1 every graph takes the Laplacian route, K4 included.
+    with pytest.raises(ValueError):
+        nonbipartite_route(standard_instance(complete_graph(4), 1, 4, z=1))
+
+
+def test_routes_cover_nonstandard_settings():
     nonstandard = with_inflow(standard_instance(cycle_graph(4), 1, 4),
                               (rat(2), rat(0)))
-    with pytest.raises(ValueError):
-        bipartite_route(nonstandard)
-    with pytest.raises(ValueError):
-        bipartite_route(standard_instance(cycle_graph(4), 1, 4, z=1))
+    for inst in (nonstandard,
+                 standard_instance(cycle_graph(4), 1, 4, z=1),
+                 standard_instance(complete_graph(4), 1, 4, z=1)):
+        decomp, psi, energy = bipartite_route(inst)
+        assert psi == stationary_state(inst)
+        assert energy == comfortability_direct(psi)
+        assert decomp.potential[inst.boundary[-1]] == rat(0)
+    assert bipartite_route(nonstandard)[0].rho == rat(1)
+    # r = 3 with a zero inflow on the non-bipartite route.
+    inst = WalkInstance(complete_graph(4), (2, 1, 4),
+                        (rat(-3, 2), rat(0), rat(5)), -1)
+    _, psi, energy = nonbipartite_route(inst)
+    assert psi == stationary_state(inst)
+    assert energy == comfortability_direct(psi)
 
 
 def test_fundamental_cycles():
@@ -138,9 +155,26 @@ def test_kirchhoff_audit_nonbipartite():
     assert "arc symmetry" in names and "potential existence" in names
 
 
+@pytest.mark.parametrize("g", [cycle_graph(4), complete_graph(4)])
+def test_kirchhoff_audit_z_plus_one(g):
+    # At z = +1 both parities obey the Kirchhoff laws with s = 1.
+    inst = standard_instance(g, 1, 3, z=1)
+    psi = stationary_state(inst)
+    report = kirchhoff_audit(inst, psi)
+    assert report.ok
+    assert report.bipartite == (bipartition(g) is not None)
+    names = {c.name for c in report.checks}
+    assert {"per-vertex sum constancy", "current law at vertices",
+            "voltage law on fundamental cycles"} <= names
+    broken = dict(psi.values)
+    broken[g.arcs[0]] += rat(1, 7)
+    from grwalk.stationary import ArcField
+    assert not kirchhoff_audit(inst, ArcField(g, broken)).ok
+
+
 def test_kirchhoff_audit_propagates_residual_failures(monkeypatch):
-    # Only a singular signless Laplacian is an audit finding; a solver
-    # fault (nonzero residual) must not be reported as one.
+    # The audit's potential comes from the signless route's solve; a
+    # solver fault (nonzero residual) must not be reported as a finding.
     inst = standard_instance(complete_graph(4), 1, 4)
     psi = stationary_state(inst)
 

@@ -140,6 +140,9 @@ def test_minor_and_rank():
     assert a.det() == rat(0)
     m = a.minor([1], [2])
     assert m.data == [[rat(1), rat(2)], [rat(0), rat(1)]]
+    for rows, cols in (([3], [0]), ([0], [3]), ([-1], [0])):
+        with pytest.raises(ValueError, match="outside"):
+            a.minor(rows, cols)
 
 
 def test_solve_many_shares_reduction():
