@@ -191,19 +191,27 @@ def _int_det(mat):
 
 class _MinorDeterminants:
     """Principal-minor determinants of one graph's Laplacian (signless
-    False) and signless Laplacian (signless True).
+    False) and signless Laplacian (signless True), and the graph's parity.
 
     Each matrix is built on first use and each determinant is taken once,
-    keyed by the sorted tuple of dropped vertices.  The matrices never
+    keyed by the sorted tuple of dropped vertices; the parity, which picks
+    the closed form, is 2-coloured once, on first use.  The matrices never
     leave this object, so no caller can change a memoised count.
     """
 
-    __slots__ = ("graph", "matrices", "dets")
+    __slots__ = ("graph", "matrices", "dets", "_bipartite")
 
     def __init__(self, g):
         self.graph = g
         self.matrices = {}
         self.dets = {}
+        self._bipartite = None
+
+    @property
+    def bipartite(self):
+        if self._bipartite is None:
+            self._bipartite = bipartition(self.graph) is not None
+        return self._bipartite
 
     def __call__(self, signless, dropped):
         key = (signless, dropped)
@@ -305,7 +313,7 @@ def closed_form_comfort(g, u1, un, z=-1):
     if z not in (1, -1):
         raise ValueError("z must be +1 or -1")
     _check_vertices(g, u1, un)
-    if z == -1 and bipartition(g) is None:
+    if z == -1 and not _minor_determinants(g).bipartite:
         iota1, iota2 = odd_unicyclic_sums(g, u1, method="det")
         return rat(iota2, iota1)
     chi1 = spanning_tree_count(g, method="det")

@@ -170,6 +170,13 @@ class Bipartition:
 
 
 def _two_color(g):
+    """Breadth-first 2-colouring from vertex 1 (colour 0).
+
+    Returns (color, parent, order): the colours, the spanning tree's
+    parent links (None at the root) and the visiting order, in which every
+    vertex comes after its parent.  The colouring is proper exactly when g
+    is bipartite.
+    """
     color = {1: 0}
     parent = {1: None}
     order = []
@@ -182,12 +189,12 @@ def _two_color(g):
                 color[w] = 1 - color[u]
                 parent[w] = u
                 queue.append(w)
-    return color, parent
+    return color, parent, order
 
 
 def bipartition(g):
     """The bipartition of g (vertex 1 in X), or None if g has an odd cycle."""
-    color, _ = _two_color(g)
+    color = _two_color(g)[0]
     for u, v in g.edges:
         if color[u] == color[v]:
             return None
@@ -202,7 +209,7 @@ def odd_cycle_witness(g):
     Found from the first 2-coloring conflict of a breadth-first search;
     only existence matters downstream, so any valid odd cycle suffices.
     """
-    color, parent = _two_color(g)
+    color, parent, _ = _two_color(g)
     for u, v in g.edges:
         if color[u] == color[v]:
             path_u, path_v = [u], [v]
@@ -262,15 +269,6 @@ def enumerate_connected(n):
         if len(components(n, edges)[0]) == 1:
             out.append(Graph(n, edges))
     return out
-
-
-def edge_bitmask(g):
-    """Edge bitmask of g over the lexicographic pair ordering."""
-    idx = {p: i for i, p in enumerate(vertex_pairs(g.n))}
-    mask = 0
-    for e in g.edges:
-        mask |= 1 << idx[e]
-    return mask
 
 
 def canonical_form(g):
@@ -352,6 +350,7 @@ def parse_instance(text):
     """
     n = None
     edges = []
+    edge_keys = set()
     tails = []
     phase = -1
     phase_seen = False
@@ -376,8 +375,9 @@ def parse_instance(text):
             if u == v:
                 raise InstanceParseError(f"self-loop at vertex {u}", lineno)
             key = (min(u, v), max(u, v))
-            if key in {(min(a, b), max(a, b)) for a, b in edges}:
+            if key in edge_keys:
                 raise InstanceParseError(f"duplicate edge {key}", lineno)
+            edge_keys.add(key)
             edges.append((u, v))
         elif directive == "tail":
             if n is None:

@@ -9,17 +9,21 @@ derives from a signless-Laplacian potential.  Every instance thus has one
 potential route, any boundary size and inflow, and it reconstructs the
 stationary state independently of the arc solver.
 
+The Kirchhoff audits solve nothing: a state obeys the (pseudo-)voltage
+law exactly when it comes from a vertex potential, which is read off the
+state along one breadth-first spanning tree in O(m) and then tested on
+every edge, so an audit never repeats a route's work.
+
 Sign convention: laplacian() returns the positive-semidefinite D - M, so
 the bipartite Poisson equation reads L phi = q (equivalently (M - D) phi
 = -q); dets of grounded minors then count spanning trees directly.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from operator import add, sub
 
-from .graphs import bipartition
+from .graphs import _two_color, bipartition
 from .ratlin import RAT_ONE, RAT_ZERO, RatMatrix, rat
 from .stationary import ArcField, outflow
 
@@ -156,43 +160,6 @@ def nonbipartite_route(inst):
     return phi, psi, e_qw
 
 
-def fundamental_cycles(g, root=1):
-    """One arc cycle per non-tree edge of a breadth-first spanning tree."""
-    parent = {root: None}
-    depth = {root: 0}
-    queue = deque([root])
-    tree_edges = set()
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w not in parent:
-                parent[w] = u
-                depth[w] = depth[u] + 1
-                tree_edges.add((min(u, w), max(u, w)))
-                queue.append(w)
-    cycles = []
-    for u, v in g.edges:
-        if (u, v) in tree_edges:
-            continue
-        path_u, path_v = [u], [v]
-        x, y = u, v
-        while depth[x] > depth[y]:
-            x = parent[x]
-            path_u.append(x)
-        while depth[y] > depth[x]:
-            y = parent[y]
-            path_v.append(y)
-        while x != y:
-            x, y = parent[x], parent[y]
-            path_u.append(x)
-            path_v.append(y)
-        vertices = path_u + path_v[-2::-1]
-        arcs = [(vertices[i], vertices[i + 1]) for i in range(len(vertices) - 1)]
-        arcs.append((vertices[-1], vertices[0]))
-        cycles.append(arcs)
-    return cycles
-
-
 @dataclass
 class AuditCheck:
     name: str
@@ -222,12 +189,17 @@ def kirchhoff_audit(inst, psi):
     At both phases psi(a) + z psi(rev a) is constant over the arcs leaving
     each vertex, its tail included.  The Laplacian route's states (at
     z = +1 with s = 1) then obey the current and voltage laws, the
-    signless route's the pseudo-Kirchhoff laws.  Audit failure signals an
+    signless route's the pseudo-Kirchhoff laws.  The voltage law is
+    checked through the potential it implies, read off psi along one
+    breadth-first spanning tree: the audit solves nothing and shares no
+    computation with the potential routes.  Audit failure signals an
     implementation bug, never an expected runtime condition; the report
     lists every violated law.
     """
     g = inst.graph
-    report = AuditReport(bipartite=bipartition(g) is not None)
+    color, parent, order = _two_color(g)
+    bipartite = all(color[u] != color[v] for u, v in g.edges)
+    report = AuditReport(bipartite=bipartite)
     combine = sub if inst.phase == -1 else add
     beta = outflow(inst, psi)
     tail = {v: combine(beta[j], inst.inflow[j])
@@ -241,15 +213,18 @@ def kirchhoff_audit(inst, psi):
     report.add("per-vertex difference constancy" if inst.phase == -1
                else "per-vertex sum constancy", const_ok)
 
-    minus = _minus_side(inst)
-    if minus is None:
-        _pseudo_audit(inst, psi, report)
+    if inst.phase == -1 and not bipartite:
+        _pseudo_audit(inst, psi, color, parent, order, report)
     else:
-        _bipartite_audit(inst, psi, minus, report)
+        # s(v) = -1 off boundary[0]'s side at z = -1, nowhere at z = +1.
+        side = color[inst.boundary[0]]
+        minus = frozenset(v for v in order
+                          if inst.phase == -1 and color[v] != side)
+        _bipartite_audit(inst, psi, minus, parent, order, report)
     return report
 
 
-def _bipartite_audit(inst, psi, minus, report):
+def _bipartite_audit(inst, psi, minus, parent, order, report):
     g = inst.graph
     # s(t(a)) psi(a) = rho + j(a) with an antisymmetric current j.
     spsi = {a: -x if a[1] in minus else x for a, x in psi.items()}
@@ -269,13 +244,18 @@ def _bipartite_audit(inst, psi, minus, report):
         for u in range(1, g.n + 1)))
     report.add("tail source balance", sum(q.values(), RAT_ZERO) == 0)
 
-    cycle_ok = all(
-        sum((current[a] for a in cycle), RAT_ZERO) == 0
-        for cycle in fundamental_cycles(g, root=inst.boundary[0]))
-    report.add("voltage law on fundamental cycles", cycle_ok)
+    # Voltage law: an antisymmetric j sums to zero on every fundamental
+    # cycle exactly when it is a potential difference.  Integrate j along
+    # the tree from phi(root) = 0, then test every edge against phi.
+    phi = {}
+    for v in order:
+        p = parent[v]
+        phi[v] = RAT_ZERO if p is None else phi[p] - current[(p, v)]
+    report.add("voltage law on fundamental cycles",
+               all(current[(u, v)] == phi[u] - phi[v] for u, v in g.edges))
 
 
-def _pseudo_audit(inst, psi, report):
+def _pseudo_audit(inst, psi, color, parent, order, report):
     g = inst.graph
     report.add("arc symmetry",
                all(psi[a] == psi[(a[1], a[0])] for a in g.arcs))
@@ -284,8 +264,18 @@ def _pseudo_audit(inst, psi, report):
         for u in range(1, g.n + 1)))
 
     # Pseudo-voltage law, audited through potential existence: the
-    # even-closed-walk statement is equivalent to psi being a signless
-    # gradient, and the signless route's potential is the only candidate.
-    phi = nonbipartite_route(inst)[0]
+    # even-closed-walk statement is equivalent to psi(a) = phi(o) + phi(t)
+    # for some phi.  Along the tree phi(v) = +-phi(root) + c(v), the sign
+    # set by v's colour; an edge whose ends share a colour (g has one, as
+    # it is not bipartite) then fixes phi(root).
+    c = {}
+    for v in order:
+        p = parent[v]
+        c[v] = RAT_ZERO if p is None else psi[(p, v)] - c[p]
+    u, w = next(e for e in g.edges if color[e[0]] == color[e[1]])
+    root = (psi[(u, w)] - c[u] - c[w]) / 2
+    if color[u]:
+        root = -root
+    phi = {v: (-root if color[v] else root) + c[v] for v in order}
     report.add("potential existence",
                all(psi[a] == phi[a[0]] + phi[a[1]] for a in g.arcs))

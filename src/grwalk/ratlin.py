@@ -87,9 +87,6 @@ class RatMatrix:
             m.data[i][i] = RAT_ONE
         return m
 
-    def copy(self):
-        return RatMatrix(self.data)
-
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented

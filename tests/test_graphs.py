@@ -1,4 +1,6 @@
 """Graph model, instance files, enumeration, canonical forms."""
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from grwalk.graphs import (Graph, GraphError, InstanceParseError,
                            WalkInstance, bipartition, canonical_form,
                            complete_graph, cycle_graph, enumerate_connected,
                            odd_cycle_witness, parse_instance, path_graph,
-                           standard_instance, star_graph)
+                           standard_instance, star_graph, vertex_pairs)
 from grwalk.ratlin import rat
 
 
@@ -147,3 +149,22 @@ def test_parse_errors(text, fragment):
     with pytest.raises(InstanceParseError) as err:
         parse_instance(text)
     assert fragment.lower() in str(err.value).lower()
+
+
+def test_parse_dense_document_is_linear():
+    # K120 has 7140 'e' lines; a parser that rescans the edges read so far
+    # for each new line takes many seconds here.
+    n = 120
+    lines = [f"n {n}"] + [f"e {v} {u}" for u, v in vertex_pairs(n)] + \
+        ["tail 1 1", f"tail {n} 0"]
+    start = time.perf_counter()
+    inst = parse_instance("\n".join(lines))
+    assert time.perf_counter() - start < 5
+    assert inst.graph.m == n * (n - 1) // 2
+    # Edge {1, 2}, read as "e 2 1" on line 2, again on line k.
+    k = 2 + 2 * n
+    lines.insert(k - 1, "e 1 2")
+    with pytest.raises(InstanceParseError,
+                       match=rf"^line {k}: duplicate edge \(1, 2\)$") as err:
+        parse_instance("\n".join(lines))
+    assert err.value.line == k

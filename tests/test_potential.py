@@ -1,15 +1,20 @@
 """Poisson routes, incidence identities, and Kirchhoff audits."""
+import random
+from collections import deque
+from operator import add, sub
+
 import pytest
 
+from grwalk.catalog import analyze, standard_sweep
 from grwalk.graphs import (Graph, WalkInstance, bipartition, complete_graph,
                            cycle_graph, path_graph, standard_instance)
-from grwalk.potential import (bipartite_route, fundamental_cycles,
+from grwalk.potential import (AuditReport, bipartite_route,
                               incidence_nonoriented, incidence_oriented,
                               kirchhoff_audit, laplacian, nonbipartite_route,
                               signless_laplacian)
 from grwalk.ratlin import RatMatrix, rat
-from grwalk.stationary import comfortability_direct, stationary_state, \
-    with_inflow
+from grwalk.stationary import ArcField, comfortability_direct, outflow, \
+    stationary_state, with_inflow
 
 
 def test_laplacian_single_edge():
@@ -124,19 +129,6 @@ def test_routes_cover_nonstandard_settings():
     assert energy == comfortability_direct(psi)
 
 
-def test_fundamental_cycles():
-    g = cycle_graph(5)
-    cycles = fundamental_cycles(g)
-    assert len(cycles) == g.m - g.n + 1 == 1
-    assert len(cycles[0]) == 5
-    for o, t in cycles[0]:
-        assert g.has_edge(o, t)
-    # Consecutive arcs chain head to tail and the cycle closes.
-    for (o1, t1), (o2, t2) in zip(cycles[0], cycles[0][1:] + cycles[0][:1]):
-        assert t1 == o2
-    assert len(fundamental_cycles(complete_graph(4))) == 3
-
-
 def test_kirchhoff_audit_bipartite():
     inst = standard_instance(cycle_graph(4), 1, 4)
     report = kirchhoff_audit(inst, stationary_state(inst))
@@ -168,22 +160,21 @@ def test_kirchhoff_audit_z_plus_one(g):
             "voltage law on fundamental cycles"} <= names
     broken = dict(psi.values)
     broken[g.arcs[0]] += rat(1, 7)
-    from grwalk.stationary import ArcField
     assert not kirchhoff_audit(inst, ArcField(g, broken)).ok
 
 
 def test_kirchhoff_audit_propagates_residual_failures(monkeypatch):
-    # The audit's potential comes from the signless route's solve; a
-    # solver fault (nonzero residual) must not be reported as a finding.
+    # The audit solves nothing, but analyze() still runs the signless
+    # route's solve next to it; a solver fault (nonzero residual) must
+    # raise, not be reported as a finding.
     inst = standard_instance(complete_graph(4), 1, 4)
-    psi = stationary_state(inst)
 
     def faulty_solve(self, b):
         raise RuntimeError("exact solver produced a nonzero residual")
 
     monkeypatch.setattr(RatMatrix, "solve", faulty_solve)
     with pytest.raises(RuntimeError, match="nonzero residual"):
-        kirchhoff_audit(inst, psi)
+        analyze(inst)
 
 
 def test_kirchhoff_audit_detects_corruption():
@@ -192,9 +183,168 @@ def test_kirchhoff_audit_detects_corruption():
     broken = dict(psi.values)
     a = inst.graph.arcs[0]
     broken[a] = broken[a] + rat(1, 7)
-    from grwalk.stationary import ArcField
     report = kirchhoff_audit(inst, ArcField(inst.graph, broken))
     assert not report.ok and report.failures()
+
+
+def _fundamental_cycles(g, root):
+    """One arc cycle per non-tree edge of a breadth-first spanning tree."""
+    parent = {root: None}
+    depth = {root: 0}
+    queue = deque([root])
+    tree_edges = set()
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if w not in parent:
+                parent[w] = u
+                depth[w] = depth[u] + 1
+                tree_edges.add((min(u, w), max(u, w)))
+                queue.append(w)
+    cycles = []
+    for u, v in g.edges:
+        if (u, v) in tree_edges:
+            continue
+        path_u, path_v = [u], [v]
+        x, y = u, v
+        while depth[x] > depth[y]:
+            x = parent[x]
+            path_u.append(x)
+        while depth[y] > depth[x]:
+            y = parent[y]
+            path_v.append(y)
+        while x != y:
+            x, y = parent[x], parent[y]
+            path_u.append(x)
+            path_v.append(y)
+        vertices = path_u + path_v[-2::-1]
+        cycles.append([(vertices[i], vertices[(i + 1) % len(vertices)])
+                       for i in range(len(vertices))])
+    return cycles
+
+
+def _reference_audit(inst, psi):
+    """kirchhoff_audit with the voltage law as zero sums on fundamental
+    cycles and potential existence tested against the signless route's
+    solved potential."""
+    g = inst.graph
+    part = bipartition(g)
+    report = AuditReport(bipartite=part is not None)
+    combine = sub if inst.phase == -1 else add
+    beta = outflow(inst, psi)
+    tail = {v: combine(beta[j], inst.inflow[j])
+            for j, v in enumerate(inst.boundary)}
+    const_ok = True
+    for u in range(1, g.n + 1):
+        values = {combine(psi[(u, x)], psi[(x, u)]) for x in g.neighbors(u)}
+        if u in tail:
+            values.add(tail[u])
+        const_ok &= len(values) == 1
+    report.add("per-vertex difference constancy" if inst.phase == -1
+               else "per-vertex sum constancy", const_ok)
+    if inst.phase == -1 and part is None:
+        report.add("arc symmetry",
+                   all(psi[a] == psi[(a[1], a[0])] for a in g.arcs))
+        report.add("current law at vertices", all(
+            sum((psi[(x, u)] for x in g.neighbors(u)), inst.inflow_at(u)) == 0
+            for u in range(1, g.n + 1)))
+        phi = nonbipartite_route(inst)[0]
+        report.add("potential existence",
+                   all(psi[a] == phi[a[0]] + phi[a[1]] for a in g.arcs))
+        return report
+    minus = frozenset() if inst.phase == 1 else \
+        part.oriented(inst.boundary[0]).Y
+    spsi = {a: -x if a[1] in minus else x for a, x in psi.items()}
+    sums = {spsi[(u, v)] + spsi[(v, u)] for u, v in g.edges}
+    report.add("constant part well defined", len(sums) == 1)
+    rho = next(iter(sums)) / 2
+    current = {a: x - rho for a, x in spsi.items()}
+    report.add("current arc antisymmetry",
+               all(current[(u, v)] + current[(v, u)] == 0 for u, v in g.edges))
+    q = {v: (-a if v in minus else a) - rho
+         for v, a in zip(inst.boundary, inst.inflow)}
+    report.add("current law at vertices", all(
+        sum((current[(x, u)] for x in g.neighbors(u)), q.get(u, rat(0))) == 0
+        for u in range(1, g.n + 1)))
+    report.add("tail source balance", sum(q.values(), rat(0)) == 0)
+    report.add("voltage law on fundamental cycles", all(
+        sum((current[a] for a in cycle), rat(0)) == 0
+        for cycle in _fundamental_cycles(g, inst.boundary[0])))
+    return report
+
+
+def _assert_audits_agree(inst, psi):
+    got, want = kirchhoff_audit(inst, psi), _reference_audit(inst, psi)
+    assert got.bipartite == want.bipartite
+    assert got.ok == want.ok
+    assert [c.name for c in got.checks] == [c.name for c in want.checks]
+    # Every verdict agrees once the law that makes the potential unique
+    # holds: an antisymmetric current is a gradient exactly when its
+    # fundamental-cycle sums vanish, and a signless gradient that obeys
+    # the current law has the route's potential.
+    verdicts = {c.name: c.ok for c in got.checks}
+    if verdicts.get("current arc antisymmetry",
+                    verdicts["current law at vertices"]):
+        assert [c.ok for c in got.checks] == [c.ok for c in want.checks]
+
+
+def _corruptions(psi, rng):
+    """psi with one arc, a symmetric arc pair and an antisymmetric arc
+    pair shifted by a random nonzero rational."""
+    g = psi.graph
+    out = []
+    for signs in ((1, 0), (1, 1), (1, -1)):
+        u, v = rng.choice(g.arcs)
+        delta = rat(rng.randint(1, 9), rng.randint(1, 9))
+        values = dict(psi.values)
+        values[(u, v)] += signs[0] * delta
+        values[(v, u)] += signs[1] * delta
+        out.append(ArcField(g, values))
+    return out
+
+
+@pytest.mark.parametrize("z", [-1, 1])
+def test_audit_equals_reference_on_small_catalog(z):
+    rng = random.Random(z)
+    states = 0
+    for n in range(2, 5):
+        for g, _, configs, _ in standard_sweep(n, z):
+            for cfg in configs:
+                inst = standard_instance(g, *cfg.boundary, z=z)
+                assert kirchhoff_audit(inst, cfg.psi).ok
+                for psi in [cfg.psi] + _corruptions(cfg.psi, rng):
+                    _assert_audits_agree(inst, psi)
+                states += 1
+    assert states == 2 * (1 + 4 * 3 + 38 * 6)
+
+
+def test_audit_flags_circulation_on_c4():
+    # An antisymmetric current around the cycle keeps every other law:
+    # the per-vertex differences, the current law and the tail balance.
+    inst = standard_instance(cycle_graph(4), 1, 4)
+    psi = dict(stationary_state(inst).values)
+    minus = bipartition(inst.graph).oriented(1).Y
+    for u, v in [(1, 2), (2, 3), (3, 4), (4, 1)]:
+        for a, sign in (((u, v), 1), ((v, u), -1)):
+            psi[a] += sign * rat(1, 3) * (-1 if a[1] in minus else 1)
+    report = kirchhoff_audit(inst, ArcField(inst.graph, psi))
+    assert [c.name for c in report.failures()] == \
+        ["voltage law on fundamental cycles"]
+
+
+def test_audit_flags_even_cycle_alternation_on_k4():
+    # +-delta alternating around the 4-cycle 1-2-3-4 of K4 is symmetric
+    # and sums to zero at each vertex, but lies in the kernel of the
+    # non-oriented incidence matrix, so it is no signless gradient.
+    inst = standard_instance(complete_graph(4), 1, 4)
+    psi = dict(stationary_state(inst).values)
+    for (u, v), sign in zip([(1, 2), (2, 3), (3, 4), (4, 1)], (1, -1, 1, -1)):
+        psi[(u, v)] += sign * rat(2, 5)
+        psi[(v, u)] += sign * rat(2, 5)
+    report = kirchhoff_audit(inst, ArcField(inst.graph, psi))
+    verdicts = {c.name: c.ok for c in report.checks}
+    assert verdicts["arc symmetry"] and verdicts["current law at vertices"]
+    assert not verdicts["potential existence"]
 
 
 def test_rho_from_definition():
