@@ -33,8 +33,9 @@ def _load_instance(path):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"error: cannot read {path}: {reason}", file=sys.stderr)
         raise SystemExit(2)
     try:
         return parse_instance(text)

@@ -118,10 +118,6 @@ class RatMatrix:
         return RatMatrix([[sum((a * b for a, b in zip(row, col)), RAT_ZERO)
                            for col in ot] for row in self.data])
 
-    def scale(self, s):
-        s = rat(s)
-        return RatMatrix([[s * x for x in row] for row in self.data])
-
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise ValueError("shape mismatch")

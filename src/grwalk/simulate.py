@@ -12,8 +12,9 @@ Only the internal arcs are stored.  Every inbound tail arc holds the
 constant inflow alpha at every step, so a step is psi <- E psi + S alpha
 with the source S alpha computed once.  An outbound tail arc at depth d
 holds what the boundary coin sent out d + 1 steps earlier; ``amplitudes``
-derives it from the internal vector of that earlier state, reached
-through the ``previous`` links.
+derives it from the internal vector of that earlier state.  The states of
+one trajectory share a single list of those vectors, oldest first, so a
+state is its own vector, that list and its step index.
 
 Tail vertices are labelled ("t", j, d): depth d >= 1 on the tail attached
 to the j-th boundary vertex.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -76,64 +76,65 @@ class TruncatedState:
     """Walker amplitudes on the internal arcs plus tails cut at depth L.
 
     Only the internal arcs are stored; the tail arcs are derived in
-    ``amplitudes`` from the inflow and from earlier states.  A state keeps
-    the one before it alive through ``previous``, so a chain of ``step``
-    calls keeps every state it made unless the caller cuts the link; only
-    the ``horizon`` states behind a state are ever read back.
+    ``amplitudes`` from the inflow and from earlier internal vectors.
+    ``history[:t]`` holds the vectors of the t states before this one,
+    oldest first; the states of a trajectory share one list and read only
+    its first t entries, of which ``amplitudes`` uses the last ``horizon``.
     """
 
     instance: object
     horizon: int
     internal: np.ndarray            # indexed by the graph's arc order
-    previous: TruncatedState = field(default=None, repr=False,
-                                     compare=False)  # one step earlier
-    operator: tuple = field(default=None, repr=False, compare=False)
+    history: list = field(repr=False, compare=False)
+    t: int                          # steps taken from the zero start
+    operator: tuple = field(repr=False, compare=False)
 
     @classmethod
     def initial(cls, inst, horizon):
         """The constant-inflow start: alpha_j on every inbound tail arc."""
         if horizon < 1:
             raise ValueError("the tail horizon must be at least 1")
-        return cls(inst, horizon, np.zeros(2 * inst.graph.m),
-                   operator=_float_operator(inst))
-
-    def _boundary_out(self, j):
-        """What the coin at the j-th boundary vertex sends down its tail
-        from this state: one coin application over the internal in-arcs
-        plus the inbound tail arc."""
-        op = self.operator
-        entering = op.alpha[j]
-        incoming = sum(self.internal[i] for i in op.in_arcs[j])
-        return op.sign * (op.weights[j] * (entering + incoming) - entering)
+        return cls(inst, horizon, np.zeros(2 * inst.graph.m), [], 0,
+                   _float_operator(inst))
 
     def amplitudes(self):
         """Amplitude of every arc of the truncated tailed graph."""
         g = self.instance.graph
         out = {a: self.internal[i] for i, a in enumerate(g.arcs)}
-        earlier = []                 # earlier[d]: the state d + 1 steps back
-        state = self.previous
-        while state is not None and len(earlier) < self.horizon:
-            earlier.append(state)
-            state = state.previous
-        alpha = self.operator.alpha
+        op = self.operator
         for j, v in enumerate(self.instance.boundary):
             nodes = [v] + [("t", j, d) for d in range(1, self.horizon + 1)]
             for d in range(self.horizon):
-                out[(nodes[d + 1], nodes[d])] = alpha[j]
+                out[(nodes[d + 1], nodes[d])] = op.alpha[j]
                 out[(nodes[d], nodes[d + 1])] = (
-                    earlier[d]._boundary_out(j) if d < len(earlier)
-                    else _ZERO)
+                    _boundary_out(op, self.history[self.t - 1 - d], j)
+                    if d < self.t else _ZERO)
         return out
+
+
+def _boundary_out(op, internal, j):
+    """What the coin at the j-th boundary vertex sends down its tail from
+    a state with internal vector ``internal``: one coin application over
+    the internal in-arcs plus the inbound tail arc."""
+    entering = op.alpha[j]
+    incoming = sum(internal[i] for i in op.in_arcs[j])
+    return op.sign * (op.weights[j] * (entering + incoming) - entering)
 
 
 def step(state, inst):
     """One application of the time evolution: signed Grover coins at the
     internal vertices fed by the constant inflow.  ``inst`` must be the
-    state's instance.  The new state links to ``state`` (see
-    ``TruncatedState``)."""
+    state's instance.  The new state appends ``state.internal`` to the
+    shared history; a state stepped a second time gives its successor a
+    copy of its own t entries instead (see ``TruncatedState``)."""
     op = state.operator
+    history = state.history
+    if len(history) != state.t:
+        history = history[:state.t]
+    history.append(state.internal)
     return TruncatedState(inst, state.horizon,
-                          op.mat @ state.internal + op.source, state, op)
+                          op.mat @ state.internal + op.source, history,
+                          state.t + 1, op)
 
 
 @dataclass
@@ -158,22 +159,19 @@ def simulate(inst, steps, horizon=None, exact=None, residual_stop=1e-10):
     Stops early once the internal residual drops below ``residual_stop``
     (pass None to always run the full count).  When ``exact`` (an exact
     stationary ArcField) is given, the final sup-norm distance to it is
-    reported.  The snapshots share memory with the states' internal
-    vectors.  Links to states more than ``horizon`` steps behind the
-    newest one are cut, since ``amplitudes`` never reads them.
+    reported.  The snapshots are the final state's history after the zero
+    start plus its own internal vector, the same arrays, not copies.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     if horizon is None:
         horizon = steps + 2
     state = TruncatedState.initial(inst, horizon)
-    recent = deque([state], maxlen=horizon + 1)
-    snapshots = []
     residuals = []
     converged_at = None
-    while len(snapshots) < steps and converged_at is None:
+    while state.t < steps and converged_at is None:
         block = [state]
-        for _ in range(min(_BLOCK, steps - len(snapshots))):
+        for _ in range(min(_BLOCK, steps - state.t)):
             block.append(step(block[-1], inst))
         vectors = np.array([s.internal for s in block])
         res = np.abs(np.diff(vectors, axis=0)).max(axis=1).tolist()
@@ -182,20 +180,16 @@ def simulate(inst, steps, horizon=None, exact=None, residual_stop=1e-10):
                        None)
             if hit is not None:
                 del block[hit + 2:], res[hit + 1:]
-                converged_at = len(snapshots) + hit + 1
-        for s in block[1:]:
-            recent.append(s)
-            if len(recent) == recent.maxlen:
-                recent[0].previous = None
-        snapshots.extend(s.internal for s in block[1:])
+                converged_at = block[-1].t
         residuals.extend(res)
         state = block[-1]
+    del state.history[state.t:]          # vectors of steps past an early stop
     distance = None
     if exact is not None:
         target = np.array([float(x) for x in exact.vector()])
         distance = float(np.max(np.abs(state.internal - target)))
-    return SimulationTrace(inst, snapshots, residuals, state,
-                           converged_at, distance)
+    return SimulationTrace(inst, state.history[1:] + [state.internal],
+                           residuals, state, converged_at, distance)
 
 
 def contraction_rate(inst, residual_stop=1e-10):

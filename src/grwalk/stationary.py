@@ -48,13 +48,6 @@ def coin_sign(phase):
     return rat(-1) if phase == -1 else RAT_ONE
 
 
-def grover_matrix(r):
-    """Gr(r) = (2/r) J - I, the degree-r Grover coin."""
-    w = rat(2, r)
-    return RatMatrix([[w - (RAT_ONE if i == j else RAT_ZERO) for j in range(r)]
-                      for i in range(r)])
-
-
 def operator_entries(inst):
     """The nonzero entries (i, j, value) of E, row by row: for arc
     a_i = (u, t) and arc b_j = (x, u), value = eps (2/deg~(u) - [x = t]).
@@ -161,8 +154,9 @@ def predicted_scattering(inst):
     """The scattering matrix predicted by the surface theorem (phase -1 only).
 
     Identity for a non-bipartite internal graph; otherwise the conjugated
-    Grover matrix tau = -S Gr(r) S with S = diag(I_k, -I_{r-k}), stated in
-    the basis with the X-side boundary vertices first.
+    Grover matrix tau = -S Gr(r) S with Gr(r) = (2/r) J - I and
+    S = diag(I_k, -I_{r-k}), stated in the basis with the X-side boundary
+    vertices first: tau_ij = s_i s_j (delta_ij - 2/r).
     """
     if inst.phase != -1:
         raise ValueError("the surface scattering theorem applies to phase -1")
@@ -171,10 +165,10 @@ def predicted_scattering(inst):
     if part is None:
         return RatMatrix.identity(r)
     k = sum(1 for v in inst.boundary if v in part.X)
-    s = RatMatrix.zeros(r, r)
-    for i in range(r):
-        s.data[i][i] = RAT_ONE if i < k else rat(-1)
-    return (s * grover_matrix(r) * s).scale(-1)
+    s = [1] * k + [-1] * (r - k)
+    w = rat(2, r)
+    return RatMatrix([[s[i] * s[j] * ((RAT_ONE if i == j else RAT_ZERO) - w)
+                       for j in range(r)] for i in range(r)])
 
 
 @dataclass

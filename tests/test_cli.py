@@ -110,6 +110,23 @@ def test_analyze_missing_file(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command",
+                         [["analyze"], ["simulate", "--steps", "5"]],
+                         ids=["analyze", "simulate"])
+def test_unreadable_files_exit_2(command, tmp_path, capsys):
+    # A directory and a file that is not UTF-8 (it starts with a UTF-16
+    # byte-order mark) both fail with a message, not a traceback.
+    binary = tmp_path / "utf16.gw"
+    binary.write_bytes(b"\xff\xfe" + "n 2\ne 1 2\n".encode("utf-16-le"))
+    for path in (str(tmp_path), str(binary)):
+        with pytest.raises(SystemExit) as err:
+            main(command + [path])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+        assert captured.out == ""
+
+
 def test_analyze_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.gw"
     path.write_text("n 3\ne 1 2\nwhat\n")

@@ -8,9 +8,9 @@ from grwalk.factors import (FactorMismatchError, closed_form_comfort,
                             cycle_incidence_check, factor_counts,
                             odd_unicyclic_sums, spanning_tree_count,
                             two_forest_count)
-from grwalk.graphs import (Graph, bipartition, complete_graph, components,
-                           cycle_graph, enumerate_connected, path_graph,
-                           star_graph, vertex_pairs)
+from grwalk.graphs import (Graph, bipartition, complete_graph, cycle_graph,
+                           enumerate_connected, path_graph, star_graph,
+                           vertex_pairs)
 from grwalk.potential import laplacian, signless_laplacian
 from grwalk.ratlin import rat
 
@@ -39,6 +39,33 @@ def _is_odd_unicyclic(vertices, edges):
     return len(alive) % 2 == 1
 
 
+def _components(n, edges):
+    """(vertex lists, edge counts) of the components of ({1..n}, edges),
+    labelled by depth-first search."""
+    adj = {v: [] for v in range(1, n + 1)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    label = {}
+    comps = []
+    for root in range(1, n + 1):
+        if root in label:
+            continue
+        label[root] = len(comps)
+        comps.append([root])
+        stack = [root]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in label:
+                    label[y] = label[root]
+                    comps[-1].append(y)
+                    stack.append(y)
+    counts = [0] * len(comps)
+    for u, _ in edges:
+        counts[label[u]] += 1
+    return comps, counts
+
+
 def _reference_enumeration(g):
     """The unpruned oracle: classify every one of the 2^m edge subsets
     from scratch.  Same return shape as factors._enumerate_factors."""
@@ -55,12 +82,12 @@ def _reference_enumeration(g):
         if k < n - 2 or k > n:
             continue
         subset = [edges[i] for i in range(m) if mask >> i & 1]
-        roots, edge_count = components(n, subset)
-        omega = len(roots)
+        comps, edge_count = _components(n, subset)
+        omega = len(comps)
         if k == n - 2:
             # n-2 edges in exactly two components forces two trees.
             if omega == 2:
-                (c1, c2) = roots.values()
+                (c1, c2) = comps
                 for u in c1:
                     for v in c2:
                         key = (u, v) if u < v else (v, u)
@@ -76,8 +103,8 @@ def _reference_enumeration(g):
             # exactly one tree component; the rest must be odd-unicyclic.
             tree_comp = None
             good = True
-            for r, verts in roots.items():
-                if edge_count[r] == len(verts) - 1:
+            for verts, count in zip(comps, edge_count):
+                if count == len(verts) - 1:
                     if tree_comp is not None:
                         good = False
                         break
@@ -94,7 +121,7 @@ def _reference_enumeration(g):
         else:
             if all(_is_odd_unicyclic(verts,
                                      [e for e in subset if e[0] in set(verts)])
-                   for verts in roots.values()):
+                   for verts in comps):
                 iota1 += 4 ** omega
                 hist1[omega] = hist1.get(omega, 0) + 1
     return trees, forests, (iota1, hist1), {v: (iota2[v], hist2[v])

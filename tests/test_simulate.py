@@ -342,7 +342,46 @@ def test_step_leaves_its_input_unchanged():
     assert np.array_equal(state.internal, before)
     assert not np.array_equal(b.internal, a.internal)
     assert state.amplitudes() == amps_before
-    assert a.previous is state and b.previous is state
+
+
+def _same_amplitudes(got, want):
+    return list(got) == list(want) and all(
+        np.float64(got[k]).tobytes() == np.float64(want[k]).tobytes()
+        for k in want)
+
+
+def test_stepping_one_state_twice_branches():
+    # a = step(s), b = step(s), then both are stepped on: a shares its
+    # history with s, b gets a copy, and none of them reads the others'.
+    inst = WalkInstance(cycle_graph(5), (1, 3), (rat(2), rat(-1, 2)), 1)
+    s = simulate(inst, 5, horizon=9, residual_stop=None).final
+    amps_s = s.amplitudes()
+    a = step(s, inst)
+    b = step(s, inst)
+    amps_a, amps_b = a.amplitudes(), b.amplitudes()
+    a2, b2 = step(a, inst), step(b, inst)
+    for state, before in ((s, amps_s), (a, amps_a), (b, amps_b)):
+        assert _same_amplitudes(state.amplitudes(), before)
+    for steps, states in ((6, (a, b)), (7, (a2, b2))):
+        want = _reference_simulate(inst, steps, horizon=9,
+                                   residual_stop=None)[2].amplitudes()
+        for state in states:
+            assert _same_amplitudes(state.amplitudes(), want)
+
+
+def test_assigned_internal_feeds_the_outbound_tail():
+    # The depth-0 outbound arc after a step comes from the internal vector
+    # the state held when it was stepped, also one assigned after initial.
+    inst = standard_instance(complete_graph(4), 1, 4)
+    s = TruncatedState.initial(inst, 3)
+    s.internal = np.random.default_rng(5).normal(size=12)
+    out = step(s, inst).amplitudes()
+    g = inst.graph
+    for j, (v, alpha) in enumerate(zip(inst.boundary, (1.0, 0.0))):
+        incoming = sum(s.internal[g.arc_index((x, v))]
+                       for x in g.neighbors(v))
+        # Coin weight 2/deg~(v) = 1/2 with sign -1 at phase -1.
+        assert out[(v, ("t", j, 1))] == -(0.5 * (alpha + incoming) - alpha)
 
 
 def test_huge_step_count_stops_early_in_small_memory():
@@ -403,11 +442,18 @@ def test_contraction_rate_without_a_positive_threshold():
         assert contraction_rate(k4, stop) == (rate, 1)
 
 
-def test_simulate_links_only_horizon_states_behind_the_final():
+def _simulate_peak(inst, steps, horizon):
+    tracemalloc.start()
+    try:
+        simulate(inst, steps, horizon=horizon, residual_stop=None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_default_horizon_costs_no_memory_beyond_the_snapshots():
+    # Every internal vector is kept for the snapshots anyway; the default
+    # horizon (steps + 2) must not keep anything per step on top of them.
     inst = standard_instance(complete_graph(4), 1, 4)
-    for horizon in (1, 5, 200):
-        trace = simulate(inst, 130, horizon=horizon, residual_stop=None)
-        depth, state = 0, trace.final
-        while state.previous is not None:
-            depth, state = depth + 1, state.previous
-        assert depth == min(horizon, 130)
+    assert _simulate_peak(inst, 5000, None) <= \
+        1.05 * _simulate_peak(inst, 5000, 1)

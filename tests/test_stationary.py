@@ -1,13 +1,14 @@
 """Exact stationary states, outflow, and the scattering theorem."""
+import itertools
+
 import pytest
 
 from grwalk.graphs import (Graph, WalkInstance, bipartition, complete_graph,
-                           cycle_graph, path_graph, standard_instance,
-                           star_graph)
+                           cycle_graph, enumerate_connected, path_graph,
+                           standard_instance, star_graph)
 from grwalk.ratlin import RatMatrix, rat
-from grwalk.stationary import (comfortability_direct, grover_matrix,
-                               internal_operator, outflow,
-                               predicted_scattering, scattering,
+from grwalk.stationary import (comfortability_direct, internal_operator,
+                               outflow, predicted_scattering, scattering,
                                source_vector, stationary_state,
                                unit_stationary_states, with_inflow)
 
@@ -123,12 +124,38 @@ def test_outflow_examples():
     assert outflow(c4, stationary_state(c4)) == [rat(0), rat(1)]
 
 
-def test_grover_matrix():
-    gr2 = grover_matrix(2)
-    assert gr2.data == [[rat(0), rat(1)], [rat(1), rat(0)]]
-    gr3 = grover_matrix(3)
-    assert gr3.data[0][0] == rat(-1, 3) and gr3.data[0][1] == rat(2, 3)
-    assert (gr3 * gr3).is_identity()
+def _reference_tau(inst):
+    """The product form: tau = -S Gr(r) S with Gr(r) = (2/r) J - I and
+    S = diag(I_k, -I_{r-k}), X-side boundary vertices first."""
+    part = bipartition(inst.graph)
+    r = inst.r
+    if part is None:
+        return RatMatrix.identity(r)
+    k = sum(1 for v in inst.boundary if v in part.X)
+    s = RatMatrix.zeros(r, r)
+    for i in range(r):
+        s.data[i][i] = rat(1) if i < k else rat(-1)
+    gr = RatMatrix([[rat(2, r) - (rat(1) if i == j else rat(0))
+                     for j in range(r)] for i in range(r)])
+    return RatMatrix([[rat(-1) * x for x in row] for row in (s * gr * s).data])
+
+
+def test_predicted_scattering_equals_the_product_form():
+    # Every boundary set with r <= 4 of every connected graph on n <= 5
+    # vertices: the same entries, of the same type.
+    count = 0
+    for n in range(2, 6):
+        for g in enumerate_connected(n):
+            for r in range(1, min(4, n) + 1):
+                for boundary in itertools.combinations(range(1, n + 1), r):
+                    inst = WalkInstance(g, boundary, (rat(1),) * r, -1)
+                    got = predicted_scattering(inst).data
+                    want = _reference_tau(inst).data
+                    assert got == want
+                    assert [type(x) for row in got for x in row] == \
+                        [type(x) for row in want for x in row]
+                    count += 1
+    assert count == 22441
 
 
 def test_predicted_scattering_cases():
