@@ -24,7 +24,7 @@ from .graphs import bipartition, canonical_form, enumerate_connected, \
 from .potential import bipartite_route, kirchhoff_audit, nonbipartite_route
 from .ratlin import rat
 from .simulate import contraction_rate, simulate
-from .stationary import comfortability_direct, outflow, scattering, \
+from .stationary import comfortability_direct, scattering, \
     stationary_state, unit_stationary_states
 
 
@@ -63,13 +63,12 @@ def standard_sweep(n, z=-1):
             inst = standard_instance(g, u, v, z)
             states = unit_stationary_states(inst)
             report = scattering(inst, unit_states=states)
+            sigma = report.sigma.data
             configs = []
             for k, pair in enumerate([(u, v), (v, u)]):
+                # beta under unit inflow at pair[0]: column k of sigma.
                 psi = states[k]
-                unit = (rat(1), rat(0)) if k == 0 else (rat(0), rat(1))
-                beta = tuple(outflow(inst, psi, inflow=unit))
-                if k == 1:
-                    beta = (beta[1], beta[0])
+                beta = (sigma[k][k], sigma[1 - k][k])
                 configs.append(Configuration(g, pair, psi,
                                              comfortability_direct(psi),
                                              beta, lab))

@@ -190,8 +190,9 @@ def _int_det(mat):
 
 
 class _MinorDeterminants:
-    """Principal-minor determinants of one graph's Laplacian (signless
-    False) and signless Laplacian (signless True), and the graph's parity.
+    """Principal-minor determinants of one graph's L_z = D - zM, the
+    Laplacian at z = 1 and the signless Laplacian at z = -1, and the
+    graph's parity.
 
     Each matrix is built on first use and each determinant is taken once,
     keyed by the sorted tuple of dropped vertices; the parity, which picks
@@ -213,14 +214,14 @@ class _MinorDeterminants:
             self._bipartite = bipartition(self.graph) is not None
         return self._bipartite
 
-    def __call__(self, signless, dropped):
-        key = (signless, dropped)
+    def __call__(self, z, dropped):
+        key = (z, dropped)
         value = self.dets.get(key)
         if value is None:
-            mat = self.matrices.get(signless)
+            mat = self.matrices.get(z)
             if mat is None:
-                build = signless_laplacian if signless else laplacian
-                mat = self.matrices[signless] = build(self.graph)
+                build = laplacian if z == 1 else signless_laplacian
+                mat = self.matrices[z] = build(self.graph)
             index = [v - 1 for v in dropped]
             value = self.dets[key] = _int_det(mat.minor(index, index))
         return value
@@ -233,15 +234,16 @@ def _minor_determinants(g):
     return _MinorDeterminants(g)
 
 
-def _check_vertices(g, *vertices):
+def _check_args(g, method, *vertices):
+    """Reject a bad method or a vertex outside g before any count."""
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}")
     for v in vertices:
         if not 1 <= v <= g.n:
             raise ValueError(f"vertex {v} is outside 1..{g.n}")
 
 
 def _check(name, method, enum_value, det_value):
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}")
     if method == "enum":
         return enum_value
     if method == "det":
@@ -254,18 +256,19 @@ def _check(name, method, enum_value, det_value):
 def spanning_tree_count(g, method="both"):
     """chi1: spanning trees, by enumeration and/or the grounded Laplacian
     determinant (any ground vertex; u_n by convention elsewhere)."""
+    _check_args(g, method)
     enum_value = det_value = None
     if method != "det":
         enum_value = _enumerate_factors(g)[0]
     if method != "enum":
-        det_value = _minor_determinants(g)(False, (g.n,))
+        det_value = _minor_determinants(g)(1, (g.n,))
     return _check("chi1", method, enum_value, det_value)
 
 
 def two_forest_count(g, u1, un, method="both"):
     """chi2: spanning two-component forests separating u1 from un
     (isolated vertices count as trees)."""
-    _check_vertices(g, u1, un)
+    _check_args(g, method, u1, un)
     if u1 == un:
         raise ValueError("chi2 needs two distinct vertices")
     key = (u1, un) if u1 < un else (un, u1)
@@ -273,14 +276,14 @@ def two_forest_count(g, u1, un, method="both"):
     if method != "det":
         enum_value = _enumerate_factors(g)[1].get(key, 0)
     if method != "enum":
-        det_value = _minor_determinants(g)(False, key)
+        det_value = _minor_determinants(g)(1, key)
     return _check("chi2", method, enum_value, det_value)
 
 
 def odd_unicyclic_sums(g, u1, method="both"):
     """(iota1, iota2): 4^omega-weighted counts of the all-odd-unicyclic
     factors and the u1-tree-plus-odd-unicyclic factors."""
-    _check_vertices(g, u1)
+    _check_args(g, method, u1)
     enum1 = enum2 = det1 = det2 = None
     if method != "det":
         data = _enumerate_factors(g)
@@ -288,15 +291,16 @@ def odd_unicyclic_sums(g, u1, method="both"):
         enum2 = data[3][u1][0]
     if method != "enum":
         dets = _minor_determinants(g)
-        det1 = dets(True, ())
-        det2 = dets(True, (u1,))
+        det1 = dets(-1, ())
+        det2 = dets(-1, (u1,))
     return (_check("iota1", method, enum1, det1),
             _check("iota2", method, enum2, det2))
 
 
 def factor_counts(g, u1, un, method="both"):
-    chi1 = spanning_tree_count(g, method)
+    # chi2 first: it checks the method and both vertices before counting.
     chi2 = two_forest_count(g, u1, un, method)
+    chi1 = spanning_tree_count(g, method)
     iota1, iota2 = odd_unicyclic_sums(g, u1, method)
     hist = None
     if method != "det":
@@ -312,7 +316,9 @@ def closed_form_comfort(g, u1, un, z=-1):
     the graph is non-bipartite and z=-1."""
     if z not in (1, -1):
         raise ValueError("z must be +1 or -1")
-    _check_vertices(g, u1, un)
+    _check_args(g, "det", u1, un)
+    if u1 == un:
+        raise ValueError("the closed form needs two distinct tail vertices")
     if z == -1 and not _minor_determinants(g).bipartite:
         iota1, iota2 = odd_unicyclic_sums(g, u1, method="det")
         return rat(iota2, iota1)

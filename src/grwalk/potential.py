@@ -1,35 +1,36 @@
-"""Laplacian / signless-Laplacian Poisson routes and Kirchhoff-law audits.
+"""One Poisson route on L_z = D - zM and one Kirchhoff-law audit.
 
-The stationary state of the walk hides an electrical network.  On a
-bipartite internal graph at z = -1, and on every internal graph at
-z = +1, it is a constant part plus a current obeying Kirchhoff's laws,
-with a vertex potential solving a grounded Laplacian Poisson equation;
-on a non-bipartite graph at z = -1 the state itself is arc-symmetric and
-derives from a signless-Laplacian potential.  Every instance thus has one
-potential route, any boundary size and inflow, and it reconstructs the
-stationary state independently of the arc solver.
+At phase z the stationary state comes from a vertex potential on
+L_z = D - zM: the Laplacian L at z = +1, the signless Laplacian Q at
+z = -1.  The switching sign is s(v) = -1 at z = -1 on the side of a
+bipartite graph without boundary[0], and s = 1 elsewhere; switching by
+S = diag(s) turns Q into L (Q = S L S).  A non-bipartite graph at z = -1
+is the signless case, where Q is nonsingular and rho = 0; otherwise
+rho = sum_j s(v_j) alpha_j / r and phi is grounded at boundary[-1].
+phi solves L_z phi = z (alpha - rho s), alpha placed on the boundary,
+and on every instance, any boundary and inflow,
 
-The Kirchhoff audits solve nothing: a state obeys the (pseudo-)voltage
-law exactly when it comes from a vertex potential, which is read off the
-state along one breadth-first spanning tree in O(m) and then tested on
-every edge, so an audit never repeats a route's work.
+    psi(a) = phi(o(a)) - z phi(t(a)) + s(t(a)) rho,
 
-Sign convention: laplacian() returns the positive-semidefinite D - M, so
-the bipartite Poisson equation reads L phi = q (equivalently (M - D) phi
-= -q); dets of grounded minors then count spanning trees directly.
+with energy z sum_j phi(v_j) (alpha_j - rho s(v_j)) + rho^2 |E|.
+
+The audit solves nothing: a state obeys the (pseudo-)voltage law exactly
+when it comes from such a potential, which is read off the state along
+one breadth-first spanning tree in O(m) and then tested on every edge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import add, sub
 
-from .graphs import _two_color, bipartition
+from .graphs import _two_color
 from .ratlin import RAT_ONE, RAT_ZERO, RatMatrix, rat
 from .stationary import ArcField, outflow
 
 
-def _degrees_plus(g, off):
-    """D + off * M: off = -1 gives the Laplacian, off = 1 the signless one."""
+def _l_z(g, z):
+    """L_z = D - zM; tails excluded."""
+    off = rat(-z)
     m = RatMatrix.zeros(g.n, g.n)
     for u, v in g.edges:
         m.data[u - 1][v - 1] = m.data[v - 1][u - 1] = off
@@ -39,13 +40,15 @@ def _degrees_plus(g, off):
 
 
 def laplacian(g):
-    """L = D - M (positive semidefinite convention); tails excluded."""
-    return _degrees_plus(g, rat(-1))
+    """L = L_{+1} = D - M, positive semidefinite; grounded minors' dets
+    count spanning trees."""
+    return _l_z(g, 1)
 
 
 def signless_laplacian(g):
-    """Q = D + M; nonsingular exactly when g is connected non-bipartite."""
-    return _degrees_plus(g, RAT_ONE)
+    """Q = L_{-1} = D + M; nonsingular exactly when g is connected
+    non-bipartite."""
+    return _l_z(g, -1)
 
 
 def incidence_oriented(g):
@@ -93,50 +96,72 @@ class CurrentDecomposition:
     ground: int
 
 
-def _minus_side(inst):
-    """Where the Laplacian route's sign s(v) is -1: nowhere at z = +1; at
-    z = -1, the side of a bipartite graph without boundary[0].  None for a
-    non-bipartite graph at z = -1, the signless route's case."""
-    if inst.phase == 1:
-        return frozenset()
-    part = bipartition(inst.graph)
-    return None if part is None else part.oriented(inst.boundary[0]).Y
+def _switching(inst):
+    """The switching sign s of inst and the breadth-first tree it is read
+    from: (s, bipartite, color, parent, order), the last three as
+    _two_color returns them.  At z = -1, s(v) = -1 on the colour class
+    without boundary[0] and 1 on the other; at z = +1, s = 1 everywhere."""
+    g = inst.graph
+    color, parent, order = _two_color(g)
+    side = color[inst.boundary[0]]
+    s = {v: -1 if inst.phase == -1 and color[v] != side else 1 for v in order}
+    return (s, all(color[u] != color[v] for u, v in g.edges),
+            color, parent, order)
+
+
+def _arc_state(phi, z, srho, arcs):
+    """psi(a) = phi(o(a)) - z phi(t(a)) + s(t(a)) rho on the given arcs,
+    with srho(v) = s(v) rho."""
+    head = {v: srho[v] - z * x for v, x in phi.items()}
+    return {(u, v): phi[u] + head[v] for u, v in arcs}
+
+
+def _poisson_route(inst, s, signless):
+    """The Poisson route on L_z of the module docstring.
+
+    Returns (rho, phi, psi, energy, ground); in the signless case rho = 0
+    and ground is None, as L_z = Q is nonsingular there."""
+    g, z = inst.graph, inst.phase
+    alpha = dict(zip(inst.boundary, inst.inflow))
+    rho, ground = RAT_ZERO, None
+    lz = (laplacian if z == 1 else signless_laplacian)(g)
+    if not signless:
+        rho = sum((s[v] * a for v, a in alpha.items()), RAT_ZERO) / inst.r
+        ground = inst.boundary[-1]
+        lz = lz.minor([ground - 1], [ground - 1])
+    srho = {v: s[v] * rho for v in s}
+    keep = [v for v in range(1, g.n + 1) if v != ground]
+    sol = lz.solve([z * (alpha[v] - srho[v]) if v in alpha else RAT_ZERO
+                    for v in keep])
+    phi = dict(zip(keep, sol))
+    if ground:
+        phi[ground] = RAT_ZERO
+    psi = ArcField(g, _arc_state(phi, z, srho, g.arcs))
+    energy = z * sum((phi[v] * (a - srho[v]) for v, a in alpha.items()),
+                     RAT_ZERO) + rho * rho * rat(g.m)
+    return rho, phi, psi, energy, ground
 
 
 def bipartite_route(inst):
     """Reconstruct the stationary state of a bipartite graph at z = -1, or
-    of any graph at z = +1, from a grounded Laplacian Poisson solve.
+    of any graph at z = +1, from the grounded Poisson route.
 
-    With rho = sum_j s(v_j) alpha_j / r, phi solves L phi = q grounded at
-    boundary[-1], where q(v_j) = s(v_j) alpha_j - rho and q = 0 off the
-    boundary; then psi(a) = s(t(a)) (j(a) + rho) with the current
-    j(a) = phi(o(a)) - phi(t(a)).  Returns (CurrentDecomposition,
-    reconstructed ArcField, total energy 1/2 sum j^2 + rho^2 |E|).
+    Returns (CurrentDecomposition, reconstructed ArcField, total energy
+    1/2 sum j^2 + rho^2 |E|).  The decomposition's potential is the
+    Laplacian one, phi_L = z s phi, which solves L phi_L = q with
+    q(v_j) = s(v_j) alpha_j - rho; the current is
+    j(a) = phi_L(o(a)) - phi_L(t(a)), so psi(a) = s(t(a)) (j(a) + rho).
     """
-    minus = _minus_side(inst)
-    if minus is None:
+    s, bipartite = _switching(inst)[:2]
+    if inst.phase == -1 and not bipartite:
         raise ValueError("at phase -1 this route needs a bipartite internal graph")
+    rho, phi, psi, energy, ground = _poisson_route(inst, s, signless=False)
     g = inst.graph
-    signed = {v: -a if v in minus else a
-              for v, a in zip(inst.boundary, inst.inflow)}
-    rho = sum(signed.values(), RAT_ZERO) / inst.r
-    ground = inst.boundary[-1]
-    keep = [v for v in range(1, g.n + 1) if v != ground]
-    lap = laplacian(g).minor([ground - 1], [ground - 1])
-    sol = lap.solve([signed[v] - rho if v in signed else RAT_ZERO
-                     for v in keep])
-    phi = dict(zip(keep, sol))
-    phi[ground] = RAT_ZERO
+    phi = {v: inst.phase * s[v] * x for v, x in phi.items()}
     current = {a: phi[a[0]] - phi[a[1]] for a in g.arcs}
-    psi = ArcField(g, {a: -(j + rho) if a[1] in minus else j + rho
-                       for a, j in current.items()})
-    # j is antisymmetric, so half its square sum over arcs is the sum over
-    # edges, and the cross term rho * sum j vanishes.
-    e_qw = sum((current[e] ** 2 for e in g.edges), RAT_ZERO) + \
-        rho * rho * rat(g.m)
     decomp = CurrentDecomposition(rho, ArcField(g, current),
                                   VertexField(g, phi), ground)
-    return decomp, psi, e_qw
+    return decomp, psi, energy
 
 
 def nonbipartite_route(inst):
@@ -147,17 +172,12 @@ def nonbipartite_route(inst):
     Returns (potential, reconstructed ArcField, total energy); the energy
     phi^T Q phi equals -sum_j alpha_j phi(v_j).
     """
-    if _minus_side(inst) is not None:
+    s, bipartite = _switching(inst)[:2]
+    if inst.phase == 1 or bipartite:
         raise ValueError("this route needs a non-bipartite internal graph "
                          "at phase -1")
-    g = inst.graph
-    vertices = range(1, g.n + 1)
-    sol = signless_laplacian(g).solve([-inst.inflow_at(v) for v in vertices])
-    phi = VertexField(g, dict(zip(vertices, sol)))
-    psi = ArcField(g, {a: phi[a[0]] + phi[a[1]] for a in g.arcs})
-    e_qw = -sum((a * phi[v] for v, a in zip(inst.boundary, inst.inflow)),
-                RAT_ZERO)
-    return phi, psi, e_qw
+    _, phi, psi, energy, _ = _poisson_route(inst, s, signless=True)
+    return VertexField(inst.graph, phi), psi, energy
 
 
 @dataclass
@@ -186,96 +206,67 @@ class AuditReport:
 def kirchhoff_audit(inst, psi):
     """Verify the (pseudo-)Kirchhoff laws on an exact stationary state.
 
-    At both phases psi(a) + z psi(rev a) is constant over the arcs leaving
-    each vertex, its tail included.  The Laplacian route's states (at
-    z = +1 with s = 1) then obey the current and voltage laws, the
-    signless route's the pseudo-Kirchhoff laws.  The voltage law is
-    checked through the potential it implies, read off psi along one
-    breadth-first spanning tree: the audit solves nothing and shares no
-    computation with the potential routes.  Audit failure signals an
-    implementation bug, never an expected runtime condition; the report
-    lists every violated law.
+    psi(a) + z psi(rev a) is constant over the arcs leaving each vertex,
+    its tail included; s(v) (psi(u, v) + z psi(v, u)) = 2 rho on every
+    edge, rho = 0 in the signless case; the current law reads
+    s(u) (sum_x psi(x, u) + alpha(u)) = rho deg~(u); and psi comes from a
+    potential by the module's formula.  A failure signals an
+    implementation bug; the report lists every violated law.
     """
-    g = inst.graph
-    color, parent, order = _two_color(g)
-    bipartite = all(color[u] != color[v] for u, v in g.edges)
+    g, z = inst.graph, inst.phase
+    s, bipartite, color, parent, order = _switching(inst)
+    signless = z == -1 and not bipartite
     report = AuditReport(bipartite=bipartite)
-    combine = sub if inst.phase == -1 else add
+    combine = sub if z == -1 else add
     beta = outflow(inst, psi)
     tail = {v: combine(beta[j], inst.inflow[j])
             for j, v in enumerate(inst.boundary)}
+    # psi(u, x) + z psi(x, u) on every arc (u, x).
+    pair = {(u, x): combine(psi[(u, x)], psi[(x, u)]) for u, x in g.arcs}
     const_ok = True
     for u in range(1, g.n + 1):
-        values = {combine(psi[(u, x)], psi[(x, u)]) for x in g.neighbors(u)}
+        values = {pair[(u, x)] for x in g.neighbors(u)}
         if u in tail:
             values.add(tail[u])
         const_ok &= len(values) == 1
-    report.add("per-vertex difference constancy" if inst.phase == -1
+    report.add("per-vertex difference constancy" if z == -1
                else "per-vertex sum constancy", const_ok)
 
-    if inst.phase == -1 and not bipartite:
-        _pseudo_audit(inst, psi, color, parent, order, report)
+    sums = {s[v] * pair[(u, v)] for u, v in g.edges}
+    rho = RAT_ZERO
+    if signless:
+        report.add("arc symmetry", sums == {RAT_ZERO})
     else:
-        # s(v) = -1 off boundary[0]'s side at z = -1, nowhere at z = +1.
-        side = color[inst.boundary[0]]
-        minus = frozenset(v for v in order
-                          if inst.phase == -1 and color[v] != side)
-        _bipartite_audit(inst, psi, minus, parent, order, report)
-    return report
-
-
-def _bipartite_audit(inst, psi, minus, parent, order, report):
-    g = inst.graph
-    # s(t(a)) psi(a) = rho + j(a) with an antisymmetric current j.
-    spsi = {a: -x if a[1] in minus else x for a, x in psi.items()}
-    sums = {spsi[(u, v)] + spsi[(v, u)] for u, v in g.edges}
-    report.add("constant part well defined", len(sums) == 1)
-    rho = next(iter(sums)) / 2
-
-    current = {a: x - rho for a, x in spsi.items()}
-    report.add("current arc antisymmetry",
-               all(current[(u, v)] + current[(v, u)] == 0 for u, v in g.edges))
-
-    # q from the tail arcs; the inbound arc at v_j carries alpha_j.
-    q = {v: (-a if v in minus else a) - rho
-         for v, a in zip(inst.boundary, inst.inflow)}
+        # Every sum is 2 rho exactly when there is only one.
+        rho = next(iter(sums)) / 2
+        report.add("constant part well defined", len(sums) == 1)
+        report.add("current arc antisymmetry", len(sums) == 1)
+    srho = {v: s[v] * rho for v in order}
     report.add("current law at vertices", all(
-        sum((current[(x, u)] for x in g.neighbors(u)), q.get(u, RAT_ZERO)) == 0
-        for u in range(1, g.n + 1)))
-    report.add("tail source balance", sum(q.values(), RAT_ZERO) == 0)
+        sum((psi[(x, u)] for x in g.neighbors(u)), inst.inflow_at(u))
+        == srho[u] * inst.tilde_degree(u) for u in range(1, g.n + 1)))
+    if not signless:
+        report.add("tail source balance", rho * inst.r == sum(
+            (s[v] * a for v, a in zip(inst.boundary, inst.inflow)), RAT_ZERO))
 
-    # Voltage law: an antisymmetric j sums to zero on every fundamental
-    # cycle exactly when it is a potential difference.  Integrate j along
-    # the tree from phi(root) = 0, then test every edge against phi.
+    # The (pseudo-)voltage law holds exactly when psi comes from a vertex
+    # potential.  Integrate psi along the tree from phi(root) = 0, then
+    # test psi(a) = phi(o(a)) - z phi(t(a)) + s(t(a)) rho.  In the
+    # signless case phi + c s solves the tree's equations for every c; an
+    # edge whose ends share a colour (g has one, as it is not bipartite)
+    # fixes c.  The Laplacian case's psi is tested on the edges u < v; the
+    # antisymmetry check covers their reverses.
     phi = {}
     for v in order:
         p = parent[v]
-        phi[v] = RAT_ZERO if p is None else phi[p] - current[(p, v)]
-    report.add("voltage law on fundamental cycles",
-               all(current[(u, v)] == phi[u] - phi[v] for u, v in g.edges))
-
-
-def _pseudo_audit(inst, psi, color, parent, order, report):
-    g = inst.graph
-    report.add("arc symmetry",
-               all(psi[a] == psi[(a[1], a[0])] for a in g.arcs))
-    report.add("current law at vertices", all(
-        sum((psi[(x, u)] for x in g.neighbors(u)), inst.inflow_at(u)) == 0
-        for u in range(1, g.n + 1)))
-
-    # Pseudo-voltage law, audited through potential existence: the
-    # even-closed-walk statement is equivalent to psi(a) = phi(o) + phi(t)
-    # for some phi.  Along the tree phi(v) = +-phi(root) + c(v), the sign
-    # set by v's colour; an edge whose ends share a colour (g has one, as
-    # it is not bipartite) then fixes phi(root).
-    c = {}
-    for v in order:
-        p = parent[v]
-        c[v] = RAT_ZERO if p is None else psi[(p, v)] - c[p]
-    u, w = next(e for e in g.edges if color[e[0]] == color[e[1]])
-    root = (psi[(u, w)] - c[u] - c[w]) / 2
-    if color[u]:
-        root = -root
-    phi = {v: (-root if color[v] else root) + c[v] for v in order}
-    report.add("potential existence",
-               all(psi[a] == phi[a[0]] + phi[a[1]] for a in g.arcs))
+        phi[v] = RAT_ZERO if p is None else \
+            z * (phi[p] + srho[v] - psi[(p, v)])
+    if signless:
+        u, w = next(e for e in g.edges if color[e[0]] == color[e[1]])
+        c = (psi[(u, w)] - phi[u] - phi[w]) * s[u] / 2
+        phi = {v: x + c * s[v] for v, x in phi.items()}
+    want = _arc_state(phi, z, srho, g.arcs if signless else g.edges)
+    report.add("potential existence" if signless
+               else "voltage law on fundamental cycles",
+               all(psi[a] == x for a, x in want.items()))
+    return report

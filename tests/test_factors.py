@@ -323,9 +323,37 @@ def test_closed_form_rejects_vertices_outside_the_graph(u1, un, z):
         closed_form_comfort(complete_graph(5), u1, un, z)
 
 
-def test_bad_method_rejected():
-    with pytest.raises(ValueError):
-        spanning_tree_count(complete_graph(4), method="fast")
+def _forbid_counting(monkeypatch):
+    def forbidden(g):
+        raise AssertionError("counted before the arguments were checked")
+
+    monkeypatch.setattr(factors, "_enumerate_factors", forbidden)
+    monkeypatch.setattr(factors, "_minor_determinants", forbidden)
+
+
+def test_bad_method_rejected(monkeypatch):
+    # Every bad argument is rejected before any enumeration or determinant.
+    _forbid_counting(monkeypatch)
+    k5 = complete_graph(5)
+    for call in (lambda: spanning_tree_count(k5, "nope"),
+                 lambda: two_forest_count(k5, 1, 5, "nope"),
+                 lambda: odd_unicyclic_sums(k5, 1, "nope"),
+                 lambda: factor_counts(k5, 1, 5, "nope")):
+        with pytest.raises(ValueError, match="method must be one of"):
+            call()
+    with pytest.raises(ValueError, match="two distinct"):
+        factor_counts(k5, 2, 2)
+    with pytest.raises(ValueError, match="outside"):
+        factor_counts(k5, 1, 9)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(4), complete_graph(4)])
+@pytest.mark.parametrize("z", [-1, 1])
+def test_closed_form_rejects_equal_tails_before_any_count(monkeypatch, g, z):
+    # C4 takes the chi branch at both phases, K4 the iota branch at z = -1.
+    _forbid_counting(monkeypatch)
+    with pytest.raises(ValueError, match="two distinct"):
+        closed_form_comfort(g, 2, 2, z)
 
 
 def test_memo_equals_reference_closed_form():

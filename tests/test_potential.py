@@ -7,7 +7,8 @@ import pytest
 
 from grwalk.catalog import analyze, standard_sweep
 from grwalk.graphs import (Graph, WalkInstance, bipartition, complete_graph,
-                           cycle_graph, path_graph, standard_instance)
+                           cycle_graph, enumerate_connected, path_graph,
+                           standard_instance)
 from grwalk.potential import (AuditReport, bipartite_route,
                               incidence_nonoriented, incidence_oriented,
                               kirchhoff_audit, laplacian, nonbipartite_route,
@@ -127,6 +128,107 @@ def test_routes_cover_nonstandard_settings():
     _, psi, energy = nonbipartite_route(inst)
     assert psi == stationary_state(inst)
     assert energy == comfortability_direct(psi)
+
+
+def _reference_bipartite_route(inst):
+    """bipartite_route as a grounded Laplacian solve L phi = q, with the
+    sign s read off the bipartition."""
+    part = bipartition(inst.graph)
+    if inst.phase == -1 and part is None:
+        raise ValueError("at phase -1 this route needs a bipartite internal graph")
+    minus = frozenset() if inst.phase == 1 else \
+        part.oriented(inst.boundary[0]).Y
+    g = inst.graph
+    signed = {v: -a if v in minus else a
+              for v, a in zip(inst.boundary, inst.inflow)}
+    rho = sum(signed.values(), rat(0)) / inst.r
+    ground = inst.boundary[-1]
+    keep = [v for v in range(1, g.n + 1) if v != ground]
+    lap = laplacian(g).minor([ground - 1], [ground - 1])
+    sol = lap.solve([signed[v] - rho if v in signed else rat(0)
+                     for v in keep])
+    phi = dict(zip(keep, sol))
+    phi[ground] = rat(0)
+    current = {a: phi[a[0]] - phi[a[1]] for a in g.arcs}
+    psi = ArcField(g, {a: -(j + rho) if a[1] in minus else j + rho
+                       for a, j in current.items()})
+    e_qw = sum((current[e] ** 2 for e in g.edges), rat(0)) + \
+        rho * rho * rat(g.m)
+    return rho, current, phi, ground, psi, e_qw
+
+
+def _reference_nonbipartite_route(inst):
+    """nonbipartite_route as the signless solve Q phi = -alpha."""
+    if inst.phase == 1 or bipartition(inst.graph) is not None:
+        raise ValueError("this route needs a non-bipartite internal graph "
+                         "at phase -1")
+    g = inst.graph
+    vertices = range(1, g.n + 1)
+    sol = signless_laplacian(g).solve([-inst.inflow_at(v) for v in vertices])
+    phi = dict(zip(vertices, sol))
+    psi = ArcField(g, {a: phi[a[0]] + phi[a[1]] for a in g.arcs})
+    e_qw = -sum((a * phi[v] for v, a in zip(inst.boundary, inst.inflow)),
+                rat(0))
+    return phi, psi, e_qw
+
+
+def _typed(values):
+    """A dict's items with each value's type, so that equal values of
+    different types compare unequal."""
+    return [(k, type(x), x) for k, x in values.items()]
+
+
+def _route_or_error(route, inst):
+    try:
+        return route(inst)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _random_instance(rng, g, z, r=None):
+    """A random boundary of size r (random if None) with inflows drawn
+    from [-4, 4] / [1, 4], so zeros occur."""
+    r = rng.randint(1, g.n) if r is None else r
+    boundary = tuple(rng.sample(range(1, g.n + 1), r))
+    inflow = tuple(rat(rng.randint(-4, 4), rng.randint(1, 4))
+                   for _ in boundary)
+    return WalkInstance(g, boundary, inflow, z)
+
+
+@pytest.mark.parametrize("z", [-1, 1])
+def test_routes_equal_reference_on_small_catalog(z):
+    # Every connected graph with n = 2..5, one random boundary and inflow
+    # each: every field, its Fraction type and the parity errors.
+    rng = random.Random(11 + z)
+    zeros = 0
+    for n in range(2, 6):
+        for g in enumerate_connected(n):
+            inst = _random_instance(rng, g, z)
+            zeros += rat(0) in inst.inflow
+            got = _route_or_error(bipartite_route, inst)
+            want = _route_or_error(_reference_bipartite_route, inst)
+            assert isinstance(got, str) == isinstance(want, str)
+            if isinstance(got, str):
+                assert got == want
+            else:
+                decomp, psi, energy = got
+                rho, current, phi, ground, psi_ref, e_ref = want
+                assert (type(decomp.rho), decomp.rho) == (type(rho), rho)
+                assert _typed(decomp.current.values) == _typed(current)
+                assert _typed(decomp.potential.values) == _typed(phi)
+                assert decomp.ground == ground
+                assert _typed(psi.values) == _typed(psi_ref.values)
+                assert (type(energy), energy) == (type(e_ref), e_ref)
+            got = _route_or_error(nonbipartite_route, inst)
+            want = _route_or_error(_reference_nonbipartite_route, inst)
+            assert isinstance(got, str) == isinstance(want, str)
+            if isinstance(got, str):
+                assert got == want
+            else:
+                assert _typed(got[0].values) == _typed(want[0])
+                assert _typed(got[1].values) == _typed(want[1].values)
+                assert (type(got[2]), got[2]) == (type(want[2]), want[2])
+    assert zeros > 50
 
 
 def test_kirchhoff_audit_bipartite():
@@ -316,6 +418,37 @@ def test_audit_equals_reference_on_small_catalog(z):
                     _assert_audits_agree(inst, psi)
                 states += 1
     assert states == 2 * (1 + 4 * 3 + 38 * 6)
+
+
+@pytest.mark.parametrize("z", [-1, 1])
+def test_audit_equals_reference_on_random_instances(z):
+    # Any boundary size and inflow: every connected graph with n = 2..4
+    # at every r = 1..n, and with n = 5 at one random r.
+    rng = random.Random(7 + z)
+    states = 0
+    for n in range(2, 6):
+        for g in enumerate_connected(n):
+            for r in range(1, n + 1) if n < 5 else [None]:
+                inst = _random_instance(rng, g, z, r)
+                psi = stationary_state(inst)
+                assert kirchhoff_audit(inst, psi).ok
+                for state in [psi] + _corruptions(psi, rng):
+                    _assert_audits_agree(inst, state)
+                states += 1
+    assert states == (1 * 2 + 4 * 3 + 38 * 4) + 728
+
+
+@pytest.mark.parametrize("z", [-1, 1])
+def test_audit_voltage_law_reads_each_edge_once(z):
+    # The Laplacian case tests the voltage law on the edges u < v only; a
+    # shifted reverse arc is left to the antisymmetry check.
+    inst = standard_instance(cycle_graph(4), 1, 4, z=z)
+    psi = dict(stationary_state(inst).values)
+    psi[(2, 1)] += rat(1, 7)
+    verdicts = {c.name: c.ok
+                for c in kirchhoff_audit(inst, ArcField(inst.graph, psi)).checks}
+    assert not verdicts["current arc antisymmetry"]
+    assert verdicts["voltage law on fundamental cycles"]
 
 
 def test_audit_flags_circulation_on_c4():
