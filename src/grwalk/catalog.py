@@ -190,13 +190,14 @@ class AnalysisReport:
     beta: tuple
     sigma: object
     classification: str
+    scattering_ok: bool           # sigma orthogonal and equal to its prediction
     audit: object                 # Kirchhoff audit report, at both phases
     factors: object               # FactorCounts for standard settings
     simulation: dict              # residual summary when requested
 
     @property
     def ok(self):
-        return self.routes_agree and self.audit.ok
+        return self.routes_agree and self.scattering_ok and self.audit.ok
 
 
 def analyze(inst, simulate_steps=None):
@@ -237,7 +238,9 @@ def analyze(inst, simulate_steps=None):
     return AnalysisReport(inst, part is not None, part,
                           None if part else odd_cycle_witness(g),
                           psi, routes, agree, report.beta, report.sigma,
-                          report.classification, audit, factors, simulation)
+                          report.classification,
+                          report.orthogonal and report.matches_prediction,
+                          audit, factors, simulation)
 
 
 def gamma_graphs():

@@ -79,6 +79,7 @@ def cmd_analyze(args):
             "beta": [_fr(b) for b in report.beta],
             "sigma": _matrix_strs(report.sigma),
             "classification": report.classification,
+            "scattering_ok": report.scattering_ok,
             "audit_ok": report.audit.ok,
             "factors": (None if report.factors is None else {
                 "chi1": report.factors.chi1, "chi2": report.factors.chi2,
@@ -111,8 +112,10 @@ def cmd_analyze(args):
     print("sigma =")
     for row in _matrix_strs(report.sigma):
         print("  [" + "  ".join(f"{x:>5s}" for x in row) + "]")
-    if report.classification:
-        print(f"scattering class: {report.classification}")
+    print(f"scattering class: {report.classification}")
+    if not report.scattering_ok:
+        print("SCATTERING MISMATCH: sigma is not the orthogonal matrix "
+              "the surface theorem predicts")
     if report.audit.ok:
         print("Kirchhoff audit: all laws hold")
     else:
@@ -195,7 +198,12 @@ def cmd_simulate(args):
     trace = simulate(inst, args.steps, exact=exact,
                      residual_stop=args.residual_stop)
     if args.out:
-        write_trace_csv(trace, args.out)
+        try:
+            write_trace_csv(trace, args.out)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
+            return 2
         print(f"trace written to {args.out}")
     print(f"steps run: {trace.steps} (requested {args.steps})")
     if trace.converged_at is not None:

@@ -95,20 +95,6 @@ class RatMatrix:
     def __repr__(self):
         return f"RatMatrix({self.rows}x{self.cols})"
 
-    def __add__(self, other):
-        self._check_same_shape(other)
-        return RatMatrix([[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.data, other.data)])
-
-    def __sub__(self, other):
-        self._check_same_shape(other)
-        return RatMatrix([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.data, other.data)])
-
-    def _check_same_shape(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-
     def __mul__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented

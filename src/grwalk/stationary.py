@@ -91,7 +91,13 @@ def source_vector(inst):
 
 
 def _fixed_point_matrix(inst):
-    return RatMatrix.identity(2 * inst.graph.m) - internal_operator(inst)
+    """I - E, formed in E's own rows: E has no diagonal entries, since
+    arc (u, t) is never the arc (x, u)."""
+    a = internal_operator(inst)
+    for i, row in enumerate(a.data):
+        row[:] = [-x if x else x for x in row]
+        row[i] = RAT_ONE
+    return a
 
 
 def stationary_state(inst, unit_states=None):
@@ -151,23 +157,22 @@ def boundary_sort_order(inst, part=None):
 
 
 def predicted_scattering(inst):
-    """The scattering matrix predicted by the surface theorem (phase -1 only).
+    """The scattering matrix predicted by the surface theorem, in the
+    basis with the X-side boundary vertices first.
 
-    Identity for a non-bipartite internal graph; otherwise the conjugated
-    Grover matrix tau = -S Gr(r) S with Gr(r) = (2/r) J - I and
-    S = diag(I_k, -I_{r-k}), stated in the basis with the X-side boundary
-    vertices first: tau_ij = s_i s_j (delta_ij - 2/r).
+    The identity for a non-bipartite internal graph at z = -1 (the
+    signless case); otherwise tau = z S Gr(r) S with Gr(r) = (2/r) J - I,
+    that is tau_ij = z s_i s_j (2/r - delta_ij), where s = 1 on the X side
+    and -1 on the Y side at z = -1 and s = 1 everywhere at z = +1.
     """
-    if inst.phase != -1:
-        raise ValueError("the surface scattering theorem applies to phase -1")
     part = bipartition(inst.graph)
-    r = inst.r
-    if part is None:
+    r, z = inst.r, inst.phase
+    if z == -1 and part is None:
         return RatMatrix.identity(r)
-    k = sum(1 for v in inst.boundary if v in part.X)
+    k = r if z == 1 else sum(1 for v in inst.boundary if v in part.X)
     s = [1] * k + [-1] * (r - k)
     w = rat(2, r)
-    return RatMatrix([[s[i] * s[j] * ((RAT_ONE if i == j else RAT_ZERO) - w)
+    return RatMatrix([[z * s[i] * s[j] * (w - RAT_ONE if i == j else w)
                        for j in range(r)] for i in range(r)])
 
 
@@ -179,11 +184,11 @@ class ScatteringReport:
     beta: tuple
     sigma: RatMatrix          # in the user-declared boundary order
     sigma_sorted: RatMatrix   # conjugated into the X-side-first basis
-    predicted: RatMatrix      # None when phase is +1
+    predicted: RatMatrix      # the surface theorem's tau, X-side first
     sort_order: list
     orthogonal: bool
-    matches_prediction: bool  # None when phase is +1
-    classification: str       # None when phase is +1
+    matches_prediction: bool  # sigma_sorted == predicted
+    classification: str       # read off tau and the inflow
 
 
 def unit_stationary_states(inst):
@@ -201,38 +206,28 @@ def unit_stationary_states(inst):
 
 def scattering(inst, unit_states=None):
     """Assemble sigma column-by-column from unit-inflow stationary solves."""
-    g = inst.graph
     r = inst.r
     if unit_states is None:
         unit_states = unit_stationary_states(inst)
-    sigma = RatMatrix.zeros(r, r)
-    for k, psi in enumerate(unit_states):
-        unit = [RAT_ONE if j == k else RAT_ZERO for j in range(r)]
-        col = outflow(inst, psi, inflow=unit)
-        for j in range(r):
-            sigma.data[j][k] = col[j]
+    columns = [outflow(inst, psi, inflow=[int(j == k) for j in range(r)])
+               for k, psi in enumerate(unit_states)]
+    sigma = RatMatrix([list(row) for row in zip(*columns)])
     beta = tuple(sigma.mul_vec(list(inst.inflow)))
     orth = (sigma.transpose() * sigma).is_identity()
-    part = bipartition(g)
-    order = boundary_sort_order(inst, part)
+    order = boundary_sort_order(inst)
     sigma_sorted = RatMatrix([[sigma.data[i][j] for j in order]
                               for i in order])
-    if inst.phase == -1:
-        predicted = predicted_scattering(inst)
-        matches = sigma_sorted == predicted
-        if part is None:
-            classification = "perfect-reflection"
-        elif predicted.mul_vec([inst.inflow[j] for j in order]) == \
-                [inst.inflow[j] for j in order]:
-            classification = "degenerate-identity"
-        else:
-            classification = "bipartite-tau"
+    predicted = predicted_scattering(inst)
+    alpha = [inst.inflow[j] for j in order]
+    if predicted.is_identity():
+        classification = "perfect-reflection"
+    elif predicted.mul_vec(alpha) == alpha:
+        classification = "degenerate-identity"
     else:
-        predicted = None
-        matches = None
-        classification = None
+        classification = "bipartite-tau" if inst.phase == -1 else "grover"
     return ScatteringReport(tuple(inst.inflow), beta, sigma, sigma_sorted,
-                            predicted, order, orth, matches, classification)
+                            predicted, order, orth, sigma_sorted == predicted,
+                            classification)
 
 
 def with_inflow(inst, inflow):

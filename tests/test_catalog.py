@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 import grwalk.catalog as catalog
 import grwalk.cli as cli
+import grwalk.stationary as stationary
 from grwalk.catalog import analyze, gamma_graphs, rank, standard_sweep
 from grwalk.graphs import (Graph, WalkInstance, complete_graph, cycle_graph,
                            standard_instance, vertex_pairs)
 from grwalk.potential import bipartite_route, nonbipartite_route
-from grwalk.ratlin import rat
+from grwalk.ratlin import RatMatrix, rat
 
 
 def test_rank_validation():
@@ -117,6 +118,25 @@ def test_analyze_z_plus_one():
         assert report.audit is not None and report.audit.ok
         assert any(c.name == "per-vertex sum constancy"
                    for c in report.audit.checks)
+        assert report.classification == "grover"
+        assert report.scattering_ok and report.ok
+
+
+@pytest.mark.parametrize("z", [-1, 1])
+def test_analyze_ok_needs_the_predicted_scattering(z, monkeypatch):
+    # A prediction that sigma cannot meet must fail analyze, at both phases;
+    # the energy routes and the audit are untouched by it.
+    def wrong(inst):
+        tau = RatMatrix.identity(inst.r)
+        tau.data[0][0] = rat(-1)
+        return tau
+
+    inst = standard_instance(cycle_graph(4), 1, 4, z=z)
+    assert analyze(inst).ok
+    monkeypatch.setattr(stationary, "predicted_scattering", wrong)
+    report = analyze(inst)
+    assert report.routes_agree and report.audit.ok
+    assert not report.scattering_ok and not report.ok
 
 
 def test_analyze_r3():

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+import grwalk.stationary as stationary
 from grwalk.cli import main
-from grwalk.ratlin import parse_rational, rat
+from grwalk.ratlin import RatMatrix, parse_rational, rat
 
 K4 = """n 4
 e 1 2
@@ -61,6 +62,31 @@ def test_analyze_json(k4_file, capsys):
     assert data["sigma"] == [["1", "0"], ["0", "1"]]
     assert data["bipartite"] is False
     assert sorted(data["odd_cycle"]) and len(data["odd_cycle"]) % 2 == 1
+
+
+def test_analyze_json_z_plus_one(tmp_path, capsys):
+    # At z = +1 sigma is Gr(2), checked against the prediction.
+    path = tmp_path / "k4_plus.gw"
+    path.write_text(K4 + "z 1\n")
+    assert main(["analyze", str(path), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["classification"] == "grover"
+    assert data["scattering_ok"] is True and data["ok"] is True
+    assert data["sigma"] == [["0", "1"], ["1", "0"]]
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "scattering class: grover" in out
+    assert "SCATTERING MISMATCH" not in out
+
+
+def test_analyze_human_scattering_mismatch(k4_file, monkeypatch, capsys):
+    monkeypatch.setattr(stationary, "predicted_scattering",
+                        lambda inst: RatMatrix.zeros(inst.r, inst.r))
+    assert main(["analyze", k4_file]) == 1
+    assert "SCATTERING MISMATCH" in capsys.readouterr().out
+    assert main(["analyze", k4_file, "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["scattering_ok"] is False and data["ok"] is False
 
 
 def test_json_and_human_rationals_match(c4_file, capsys):
@@ -188,3 +214,14 @@ def test_simulate_without_early_stop(c4_file, capsys):
 
 def test_simulate_bad_steps(c4_file, capsys):
     assert main(["simulate", c4_file, "--steps", "0"]) == 2
+
+
+def test_simulate_unwritable_out_exits_2(c4_file, tmp_path, capsys):
+    # A directory, and a file under a missing directory: a message and
+    # exit 2, not a traceback.
+    for path in (tmp_path, tmp_path / "missing" / "trace.csv"):
+        assert main(["simulate", c4_file, "--steps", "5",
+                     "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert "trace written" not in captured.out

@@ -89,12 +89,6 @@ def test_construction_makes_every_entry_a_fraction():
 
 
 @given(mat_strategy(3), mat_strategy(3))
-@settings(max_examples=40)
-def test_add_sub_roundtrip(a, b):
-    assert (a + b) - b == a
-
-
-@given(mat_strategy(3), mat_strategy(3))
 @settings(max_examples=25)
 def test_det_multiplicative(a, b):
     assert (a * b).det() == a.det() * b.det()

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from grwalk.catalog import standard_sweep
 from grwalk.graphs import (Graph, WalkInstance, bipartition, complete_graph,
                            cycle_graph, enumerate_connected, path_graph,
                            standard_instance, star_graph)
@@ -124,36 +125,44 @@ def test_outflow_examples():
     assert outflow(c4, stationary_state(c4)) == [rat(0), rat(1)]
 
 
+def _grover(r):
+    """Gr(r) = (2/r) J - I."""
+    return RatMatrix([[rat(2, r) - (rat(1) if i == j else rat(0))
+                       for j in range(r)] for i in range(r)])
+
+
 def _reference_tau(inst):
-    """The product form: tau = -S Gr(r) S with Gr(r) = (2/r) J - I and
-    S = diag(I_k, -I_{r-k}), X-side boundary vertices first."""
+    """The product form: Gr(r) at z = +1; at z = -1, tau = -S Gr(r) S
+    with S = diag(I_k, -I_{r-k}), X-side boundary vertices first."""
     part = bipartition(inst.graph)
     r = inst.r
+    if inst.phase == 1:
+        return _grover(r)
     if part is None:
         return RatMatrix.identity(r)
     k = sum(1 for v in inst.boundary if v in part.X)
     s = RatMatrix.zeros(r, r)
     for i in range(r):
         s.data[i][i] = rat(1) if i < k else rat(-1)
-    gr = RatMatrix([[rat(2, r) - (rat(1) if i == j else rat(0))
-                     for j in range(r)] for i in range(r)])
-    return RatMatrix([[rat(-1) * x for x in row] for row in (s * gr * s).data])
+    return RatMatrix([[rat(-1) * x for x in row]
+                      for row in (s * _grover(r) * s).data])
 
 
 def test_predicted_scattering_equals_the_product_form():
     # Every boundary set with r <= 4 of every connected graph on n <= 5
-    # vertices: the same entries, of the same type.
+    # vertices, at both phases: the same entries, of the same type.
     count = 0
     for n in range(2, 6):
         for g in enumerate_connected(n):
             for r in range(1, min(4, n) + 1):
                 for boundary in itertools.combinations(range(1, n + 1), r):
-                    inst = WalkInstance(g, boundary, (rat(1),) * r, -1)
-                    got = predicted_scattering(inst).data
-                    want = _reference_tau(inst).data
-                    assert got == want
-                    assert [type(x) for row in got for x in row] == \
-                        [type(x) for row in want for x in row]
+                    for z in (-1, 1):
+                        inst = WalkInstance(g, boundary, (rat(1),) * r, z)
+                        got = predicted_scattering(inst).data
+                        want = _reference_tau(inst).data
+                        assert got == want
+                        assert [type(x) for row in got for x in row] == \
+                            [type(x) for row in want for x in row]
                     count += 1
     assert count == 22441
 
@@ -163,8 +172,11 @@ def test_predicted_scattering_cases():
         standard_instance(complete_graph(4), 1, 4)).is_identity()
     tau = predicted_scattering(standard_instance(cycle_graph(4), 1, 4))
     assert tau.data == [[rat(0), rat(1)], [rat(1), rat(0)]]
-    with pytest.raises(ValueError):
-        predicted_scattering(standard_instance(cycle_graph(4), 1, 4, z=1))
+    # At z = +1 the prediction is Gr(2), bipartite or not.
+    for g in (cycle_graph(4), complete_graph(4)):
+        tau = predicted_scattering(standard_instance(g, 1, 4, z=1))
+        assert tau.data == _grover(2).data == [[rat(0), rat(1)],
+                                               [rat(1), rat(0)]]
 
 
 def test_scattering_same_side_pair():
@@ -179,11 +191,13 @@ def test_scattering_same_side_pair():
 
 def test_scattering_balanced_inflow_reflects():
     # Equal X-side and Y-side inflow totals: beta = alpha even though the
-    # graph is bipartite.
-    inst = WalkInstance(cycle_graph(4), (1, 4), (rat(3), rat(3)), -1)
-    report = scattering(inst)
-    assert report.beta == (rat(3), rat(3))
-    assert report.classification == "degenerate-identity"
+    # graph is bipartite.  At z = +1, equal inflows are fixed by Gr(2).
+    for z in (-1, 1):
+        inst = WalkInstance(cycle_graph(4), (1, 4), (rat(3), rat(3)), z)
+        report = scattering(inst)
+        assert report.beta == (rat(3), rat(3))
+        assert report.matches_prediction
+        assert report.classification == "degenerate-identity"
 
 
 def test_scattering_r3():
@@ -199,19 +213,33 @@ def test_scattering_r3():
 
 
 def test_scattering_r1_recorded():
-    # r = 1 on a bipartite internal graph: the formula gives beta = -alpha;
-    # checked against the exact solver only.
-    inst = WalkInstance(cycle_graph(4), (1,), (rat(1),), -1)
-    report = scattering(inst)
-    assert report.orthogonal
-    assert report.sigma.data == [[rat(-1)]]
+    # r = 1 on a bipartite internal graph: the formula gives beta = -alpha
+    # at z = -1; at z = +1, Gr(1) = I reflects perfectly.
+    for z, label in ((-1, "bipartite-tau"), (1, "perfect-reflection")):
+        inst = WalkInstance(cycle_graph(4), (1,), (rat(1),), z)
+        report = scattering(inst)
+        assert report.orthogonal and report.matches_prediction
+        assert report.sigma.data == [[rat(z)]]
+        assert report.classification == label
 
 
 def test_scattering_z_plus_one():
     inst = standard_instance(complete_graph(4), 1, 4, z=1)
     report = scattering(inst)
-    assert report.orthogonal
-    assert report.predicted is None and report.classification is None
+    assert report.orthogonal and report.matches_prediction
+    assert report.predicted == _grover(2)
+    assert report.classification == "grover"
+
+
+def test_scattering_matches_prediction_on_z_plus_one_sweep():
+    pairs = 0
+    for n in range(2, 5):
+        for _, _, _, report in standard_sweep(n, 1):
+            assert report.orthogonal and report.matches_prediction
+            assert report.predicted == _grover(2)
+            assert report.classification == "grover"
+            pairs += 1
+    assert pairs == 1 + 12 + 228
 
 
 def test_per_vertex_constancy_of_arc_differences():
