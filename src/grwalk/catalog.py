@@ -19,8 +19,9 @@ from itertools import combinations
 
 from .factors import FactorMismatchError, closed_form_comfort, factor_counts, \
     odd_unicyclic_sums, spanning_tree_count, two_forest_count
-from .graphs import bipartition, canonical_form, enumerate_connected, \
-    odd_cycle_witness, standard_instance
+from .graphs import _pair_bits, _relabelled_masks, bipartition, \
+    canonical_form, enumerate_connected, odd_cycle_witness, \
+    standard_instance, vertex_pairs
 from .potential import bipartite_route, kirchhoff_audit, nonbipartite_route
 from .ratlin import rat
 from .simulate import contraction_rate, simulate
@@ -110,44 +111,79 @@ class RankReport:
     configurations: int
 
 
+def _pair_comforts(g, z, bipartite):
+    """closed_form_comfort(g, u1, un, z) for every ordered pair u1 != un,
+    each value taken once: per u1 in the signless case, where iota2(u1)/
+    iota1 does not read un, and per unordered pair otherwise, where
+    (chi2/chi1 + |E|)/4 is symmetric in u1 and un."""
+    n = g.n
+    out = {}
+    if z == -1 and not bipartite:
+        for u in range(1, n + 1):
+            comf = closed_form_comfort(g, u, u % n + 1, z)
+            out.update(((u, v), comf) for v in range(1, n + 1) if v != u)
+    else:
+        for u, v in vertex_pairs(n):
+            out[u, v] = out[v, u] = closed_form_comfort(g, u, v, z)
+    return out
+
+
 def rank(n, z=-1):
     """Group every standard configuration on n vertices into value
-    classes and compute per-isomorphism-class maxima."""
+    classes and compute per-isomorphism-class maxima.
+
+    Relabelling the vertices changes neither the closed form, nor the
+    boundary distance, nor bipartiteness, so all members of an
+    isomorphism class have the same configurations up to the labels.
+    Each class is therefore worked out once, on its first member in
+    enumeration order, and counted once per labelled graph in it (one per
+    distinct relabelling).  The first configuration with a given value,
+    which represents its row, and the first pair that reaches a class's
+    maximum both lie on first members, so the table equals that of a
+    sweep over every labelled graph.  A first member takes its closed
+    forms and distances once per unordered pair (once per u1 in the
+    signless case) and one canonical form.
+    """
     if not 2 <= n <= 5:
         raise ValueError("rank supports 2 <= n <= 5")
     if z not in (1, -1):
         raise ValueError("z must be +1 or -1")
+    ordered = [(u1, un) for u1 in range(1, n + 1) for un in range(1, n + 1)
+               if u1 != un]
+    bits = _pair_bits(n)          # to read each graph's own edge mask
+    seen = set()                  # edge masks of every class met so far
     classes = {}
     maxima = {}
     order_ref = {}
-    total = 0
-    for g in enumerate_connected(n):
-        part = bipartition(g)
-        lab = scattering_label(g, z)
+    graphs = enumerate_connected(n)
+    for g in graphs:
+        if sum(bits[u][v] for u, v in g.edges) in seen:
+            continue
+        orbit = set(_relabelled_masks(g))
+        seen |= orbit
         cid = canonical_form(g)
-        for u1 in range(1, n + 1):
-            for un in range(1, n + 1):
-                if u1 == un:
-                    continue
-                comf = closed_form_comfort(g, u1, un, z)
-                total += 1
-                key = (g.m, part is not None, comf, lab)
-                row = classes.get(key)
-                if row is None:
-                    classes[key] = CatalogRow(g.m, part is not None, comf, lab,
-                                              (g, (u1, un)), frozenset([cid]),
-                                              1, frozenset([g.distance(u1, un)]))
-                else:
-                    row.class_ids |= {cid}
-                    row.members += 1
-                    row.distances |= {g.distance(u1, un)}
-                best = maxima.get(cid)
-                if best is None or comf > best.comfort:
-                    maxima[cid] = ClassMaximum(cid, g, g.m, comf, (u1, un))
-                if z != -1:
-                    ref = closed_form_comfort(g, u1, un, -1)
-                    if cid not in order_ref or ref > order_ref[cid]:
-                        order_ref[cid] = ref
+        bip = bipartition(g) is not None
+        lab = scattering_label(g, z)
+        comforts = _pair_comforts(g, z, bip)
+        best = max(ordered, key=comforts.__getitem__)
+        maxima[cid] = ClassMaximum(cid, g, g.m, comforts[best], best)
+        # Classes are presented by their z = -1 maximum.  A bipartite
+        # graph's closed form is the same at both phases.
+        order_ref[cid] = comforts[best] if z == -1 or bip else \
+            max(_pair_comforts(g, -1, bip).values())
+        dist = {}
+        for u, v in vertex_pairs(n):
+            dist[u, v] = dist[v, u] = g.distance(u, v)
+        for pair in ordered:
+            key = (g.m, bip, comforts[pair], lab)
+            row = classes.get(key)
+            if row is None:
+                row = classes[key] = CatalogRow(g.m, bip, comforts[pair], lab,
+                                                (g, pair), frozenset(), 0,
+                                                frozenset())
+            row.members += len(orbit)
+            row.class_ids |= {cid}
+            row.distances |= {dist[pair]}
 
     def row_key(item):
         (edges, bip, comf, _), _ = item
@@ -164,12 +200,11 @@ def rank(n, z=-1):
             tie_groups.append([i])
     # Isomorphism classes are presented by edge count, then by their
     # maximal alternating-walk energy, which fixes the order for both z.
-    if z == -1:
-        order_ref = {cid: m.comfort for cid, m in maxima.items()}
     class_maxima = sorted(maxima.values(),
                           key=lambda m: (m.edge_count, order_ref[m.class_id],
                                          m.class_id))
-    return RankReport(n, z, rows, tie_groups, class_maxima, total)
+    return RankReport(n, z, rows, tie_groups, class_maxima,
+                      len(graphs) * len(ordered))
 
 
 @dataclass

@@ -189,21 +189,32 @@ def cmd_rank(args):
     return 0
 
 
+def _cannot_write(path, exc):
+    print(f"error: cannot write {path}: {exc.strerror or exc}",
+          file=sys.stderr)
+    return 2
+
+
 def cmd_simulate(args):
     inst = _load_instance(args.file)
     if args.steps < 1:
         print("error: --steps must be at least 1", file=sys.stderr)
         return 2
+    # Open --out before the exact solve and the run, so that a path that
+    # cannot be written fails at once.
+    try:
+        out = open(args.out, "w", newline="") if args.out else None
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     exact = stationary_state(inst)
     trace = simulate(inst, args.steps, exact=exact,
                      residual_stop=args.residual_stop)
-    if args.out:
+    if out:
         try:
-            write_trace_csv(trace, args.out)
+            with out:
+                write_trace_csv(trace, out)
         except OSError as exc:
-            reason = exc.strerror or exc
-            print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
-            return 2
+            return _cannot_write(args.out, exc)
         print(f"trace written to {args.out}")
     print(f"steps run: {trace.steps} (requested {args.steps})")
     if trace.converged_at is not None:

@@ -157,7 +157,10 @@ def _enumerate_factors(g):
             members[ru] ^= members[rv]
             cyclic[ru] = was_cyclic
 
-    visit(0, 0, n, full)
+    try:
+        visit(0, 0, n, full)
+    finally:
+        del visit          # the closure holds itself through its cell
 
     def vertices(mask):
         return [v for v in range(1, n + 1) if mask >> v & 1]

@@ -61,12 +61,13 @@ class Graph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
+        # The edges are sorted, so each neighbour list is already ascending.
+        self._adj = {v: tuple(ws) for v, ws in adj.items()}
         if not self._connected():
             raise GraphError("disconnected graph")
-        arcs = [(u, v) for u, v in self.edges] + [(v, u) for u, v in self.edges]
-        self._arcs = tuple(sorted(arcs))
-        self._arc_index = {a: i for i, a in enumerate(self._arcs)}
+        # The arcs are built on first use: a catalog sweep constructs many
+        # graphs that it never solves.
+        self._arcs = self._arc_index = None
 
     def _connected(self):
         seen = {1}
@@ -86,9 +87,14 @@ class Graph:
     @property
     def arcs(self):
         """All 2|E| symmetric arcs, sorted lexicographically."""
+        if self._arcs is None:
+            self._arcs = tuple(sorted(
+                self.edges + tuple((v, u) for u, v in self.edges)))
         return self._arcs
 
     def arc_index(self, arc):
+        if self._arc_index is None:
+            self._arc_index = {a: i for i, a in enumerate(self.arcs)}
         return self._arc_index[arc]
 
     def neighbors(self, v):
@@ -98,7 +104,7 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u, v):
-        return (u, v) in self._arc_index
+        return v in self._adj.get(u, ())
 
     def distance(self, u, v):
         """Shortest-path distance, by breadth-first search."""
@@ -240,12 +246,35 @@ def enumerate_connected(n):
     pairs = vertex_pairs(n)
     out = []
     for mask in range(1, 1 << len(pairs)):
+        if mask.bit_count() < n - 1:  # too few edges to connect n vertices
+            continue
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         try:
             out.append(Graph(n, edges))
         except GraphError:           # disconnected
             pass
     return out
+
+
+def _pair_bits(n):
+    """bits[u][v] = bits[v][u] = the bit of edge {u, v} in an edge mask:
+    bit i marks the i-th pair of vertex_pairs(n), as in
+    enumerate_connected."""
+    bits = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, (u, v) in enumerate(vertex_pairs(n)):
+        bits[u][v] = bits[v][u] = 1 << i
+    return bits
+
+
+def _relabelled_masks(g):
+    """The edge mask of g under every vertex permutation: the masks of
+    g's isomorphism class, repeats included."""
+    bits = _pair_bits(g.n)
+    for perm in itertools.permutations(range(1, g.n + 1)):
+        mask = 0
+        for u, v in g.edges:
+            mask |= bits[perm[u - 1]][perm[v - 1]]
+        yield mask
 
 
 def canonical_form(g):
@@ -255,18 +284,7 @@ def canonical_form(g):
     """
     if g.n > 8:
         raise GraphError("canonical_form supports n <= 8")
-    idx = {p: i for i, p in enumerate(vertex_pairs(g.n))}
-    best = None
-    for perm in itertools.permutations(range(1, g.n + 1)):
-        mask = 0
-        for u, v in g.edges:
-            a, b = perm[u - 1], perm[v - 1]
-            if a > b:
-                a, b = b, a
-            mask |= 1 << idx[(a, b)]
-        if best is None or mask < best:
-            best = mask
-    return best
+    return min(_relabelled_masks(g))
 
 
 @dataclass(frozen=True)

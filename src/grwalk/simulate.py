@@ -215,13 +215,19 @@ def contraction_rate(inst, residual_stop=1e-10):
 
 def write_trace_csv(trace, path):
     """Trace export: one row per (step, internal arc), lexicographic arc
-    order, with the step's residual repeated per row."""
+    order, with the step's residual repeated per row.
+
+    ``path`` is a file name, or a text file opened with ``newline=""``,
+    which is written to and left open."""
+    if not hasattr(path, "write"):
+        with open(path, "w", newline="") as fh:
+            write_trace_csv(trace, fh)
+        return
     arcs = trace.instance.graph.arcs
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "arc_origin", "arc_terminus",
-                         "amplitude", "residual"])
-        for k, (snap, res) in enumerate(zip(trace.snapshots, trace.residuals),
-                                        start=1):
-            for i, (o, t) in enumerate(arcs):
-                writer.writerow([k, o, t, repr(float(snap[i])), repr(res)])
+    writer = csv.writer(path)
+    writer.writerow(["step", "arc_origin", "arc_terminus",
+                     "amplitude", "residual"])
+    for k, (snap, res) in enumerate(zip(trace.snapshots, trace.residuals),
+                                    start=1):
+        for i, (o, t) in enumerate(arcs):
+            writer.writerow([k, o, t, repr(float(snap[i])), repr(res)])

@@ -1,4 +1,6 @@
 """Catalog sweeps, analysis reports, and the self-test registry."""
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,9 @@ import grwalk.catalog as catalog
 import grwalk.cli as cli
 import grwalk.stationary as stationary
 from grwalk.catalog import analyze, gamma_graphs, rank, standard_sweep
-from grwalk.graphs import (Graph, WalkInstance, complete_graph, cycle_graph,
+from grwalk.factors import closed_form_comfort
+from grwalk.graphs import (Graph, WalkInstance, bipartition, canonical_form,
+                           complete_graph, cycle_graph, enumerate_connected,
                            standard_instance, vertex_pairs)
 from grwalk.potential import bipartite_route, nonbipartite_route
 from grwalk.ratlin import RatMatrix, rat
@@ -68,6 +72,116 @@ def test_rank_n5_tables(z, rows, ties, largest, smallest, total):
     assert len(report.tie_groups) == ties
     assert (str(max(comforts)), str(min(comforts))) == (largest, smallest)
     assert str(sum(r.comfort * r.members for r in report.rows)) == total
+
+
+def _reference_rank(n, z):
+    """rank as it was before it shared work across pairs and classes: one
+    canonical form per graph, one closed form per ordered pair, and at
+    z = +1 every z = -1 closed form, to order the class maxima."""
+    classes = {}
+    maxima = {}
+    order_ref = {}
+    total = 0
+    for g in enumerate_connected(n):
+        part = bipartition(g)
+        lab = catalog.scattering_label(g, z)
+        cid = canonical_form(g)
+        for u1 in range(1, n + 1):
+            for un in range(1, n + 1):
+                if u1 == un:
+                    continue
+                comf = closed_form_comfort(g, u1, un, z)
+                total += 1
+                key = (g.m, part is not None, comf, lab)
+                row = classes.get(key)
+                if row is None:
+                    classes[key] = catalog.CatalogRow(
+                        g.m, part is not None, comf, lab, (g, (u1, un)),
+                        frozenset([cid]), 1, frozenset([g.distance(u1, un)]))
+                else:
+                    row.class_ids |= {cid}
+                    row.members += 1
+                    row.distances |= {g.distance(u1, un)}
+                best = maxima.get(cid)
+                if best is None or comf > best.comfort:
+                    maxima[cid] = catalog.ClassMaximum(cid, g, g.m, comf,
+                                                       (u1, un))
+                if z != -1:
+                    ref = closed_form_comfort(g, u1, un, -1)
+                    if cid not in order_ref or ref > order_ref[cid]:
+                        order_ref[cid] = ref
+
+    def row_key(item):
+        (edges, bip, comf, _), _ = item
+        return (-edges, not bip, comf if bip else -comf)
+
+    rows = [row for _, row in sorted(classes.items(), key=row_key)]
+    by_comf = sorted(range(len(rows)), key=lambda i: rows[i].comfort,
+                     reverse=True)
+    tie_groups = []
+    for i in by_comf:
+        if tie_groups and rows[tie_groups[-1][0]].comfort == rows[i].comfort:
+            tie_groups[-1].append(i)
+        else:
+            tie_groups.append([i])
+    if z == -1:
+        order_ref = {cid: m.comfort for cid, m in maxima.items()}
+    class_maxima = sorted(maxima.values(),
+                          key=lambda m: (m.edge_count, order_ref[m.class_id],
+                                         m.class_id))
+    return catalog.RankReport(n, z, rows, tie_groups, class_maxima, total)
+
+
+def _rank_fields(report):
+    """Every field of a RankReport, graphs compared by their edges."""
+    rows = [(r.edge_count, r.bipartite, r.comfort, r.label,
+             r.representative[0].edges, r.representative[1],
+             type(r.class_ids), r.class_ids, r.members,
+             type(r.distances), r.distances) for r in report.rows]
+    maxima = [(m.class_id, m.representative.edges, m.edge_count, m.comfort,
+               m.argmax_pair) for m in report.class_maxima]
+    return (report.n, report.z, rows, report.tie_groups, maxima,
+            report.configurations)
+
+
+@pytest.mark.parametrize("z", [-1, 1])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rank_matches_the_reference(n, z):
+    assert _rank_fields(rank(n, z)) == _rank_fields(_reference_rank(n, z))
+
+
+def test_rank_shares_work_across_pairs_and_classes(monkeypatch):
+    forms, closed = [], []
+
+    def counted_form(g):
+        forms.append(g)
+        return canonical_form(g)
+
+    def counted_closed(g, u1, un, z=-1):
+        closed.append((g, z))
+        return closed_form_comfort(g, u1, un, z)
+
+    monkeypatch.setattr(catalog, "canonical_form", counted_form)
+    monkeypatch.setattr(catalog, "closed_form_comfort", counted_closed)
+    for n, classes in ((4, 6), (5, 21)):
+        first = {}
+        for g in enumerate_connected(n):
+            first.setdefault(canonical_form(g), g)
+        assert len(first) == classes
+        for z in (-1, 1):
+            forms.clear()
+            closed.clear()
+            rank(n, z)
+            # One canonical form per class, and closed forms on the first
+            # member only: one per unordered pair, or per u1 when signless.
+            assert forms == list(first.values())
+            want = Counter()
+            for g in first.values():
+                bip = bipartition(g) is not None
+                want[g, z] = n * (n - 1) // 2 if z == 1 or bip else n
+                if z == 1 and not bip:
+                    want[g, -1] = n      # the z = -1 maximum orders classes
+            assert Counter(closed) == want
 
 
 def test_tie_groups_are_descending():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import grwalk.cli as cli
 import grwalk.stationary as stationary
 from grwalk.cli import main
 from grwalk.ratlin import RatMatrix, parse_rational, rat
@@ -216,9 +217,15 @@ def test_simulate_bad_steps(c4_file, capsys):
     assert main(["simulate", c4_file, "--steps", "0"]) == 2
 
 
-def test_simulate_unwritable_out_exits_2(c4_file, tmp_path, capsys):
+def test_simulate_unwritable_out_exits_2(c4_file, tmp_path, capsys,
+                                        monkeypatch):
     # A directory, and a file under a missing directory: a message and
-    # exit 2, not a traceback.
+    # exit 2, not a traceback, before the exact solve and the run.
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --out was opened")
+
+    monkeypatch.setattr(cli, "stationary_state", never)
+    monkeypatch.setattr(cli, "simulate", never)
     for path in (tmp_path, tmp_path / "missing" / "trace.csv"):
         assert main(["simulate", c4_file, "--steps", "5",
                      "--out", str(path)]) == 2

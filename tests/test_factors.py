@@ -1,4 +1,6 @@
 """Factor counts: enumeration vs determinant, closed-form energy."""
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -398,3 +400,24 @@ def test_memo_stays_bounded_over_a_rank_sweep():
     rank(5, 1)
     info = factors._minor_determinants.cache_info()
     assert info.maxsize == 32 and info.currsize <= 32
+
+
+def _grid_graph(rows, cols):
+    edges = [(v, v + 1) for v in range(1, rows * cols + 1) if v % cols]
+    edges += [(v, v + cols) for v in range(1, (rows - 1) * cols + 1)]
+    return Graph(rows * cols, edges)
+
+
+@pytest.mark.parametrize("g", [complete_graph(5), _grid_graph(3, 4)],
+                         ids=["K5", "grid3x4"])
+def test_enumeration_leaves_no_reference_cycle(g):
+    # The search's recursive closure refers to itself through its cell;
+    # the cell is cleared when the search ends, so an uncached call leaves
+    # nothing for the cyclic collector.
+    gc.collect()
+    gc.disable()
+    try:
+        factors._enumerate_factors.__wrapped__(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

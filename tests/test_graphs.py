@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grwalk.graphs import (Graph, GraphError, InstanceParseError,
-                           WalkInstance, bipartition, canonical_form,
-                           complete_graph, cycle_graph, enumerate_connected,
+                           WalkInstance, _pair_bits, _relabelled_masks,
+                           bipartition, canonical_form, complete_graph,
+                           cycle_graph, enumerate_connected,
                            odd_cycle_witness, parse_instance, path_graph,
                            standard_instance, star_graph, vertex_pairs)
 from grwalk.ratlin import rat
@@ -95,6 +96,24 @@ def test_canonical_form_is_permutation_invariant(n, rng):
     rng.shuffle(perm)
     relabeled = Graph(n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
     assert canonical_form(g) == canonical_form(relabeled)
+
+
+def test_orbit_ids_are_the_canonical_forms():
+    # rank enters the canonical form of a class's first member for every
+    # relabelling of it; that must be the canonical form of each later
+    # member, and the relabellings must cover exactly the connected graphs.
+    for n in range(2, 6):
+        graphs = enumerate_connected(n)
+        bits = _pair_bits(n)
+        own = [sum(bits[u][v] for u, v in g.edges) for g in graphs]
+        assert own == sorted(set(own))          # enumerate_connected's order
+        class_of = {}
+        for g, mask in zip(graphs, own):
+            if mask not in class_of:
+                class_of.update(dict.fromkeys(_relabelled_masks(g),
+                                              canonical_form(g)))
+            assert class_of[mask] == canonical_form(g)
+        assert set(class_of) == set(own)
 
 
 def test_walk_instance_validation():
