@@ -109,10 +109,17 @@ def _switching(inst):
             color, parent, order)
 
 
+def _signed(sign, x):
+    """sign * x for sign = +-1, by negation rather than a multiply (none
+    for a zero x)."""
+    return x if sign > 0 or not x else -x
+
+
 def _arc_state(phi, z, srho, arcs):
     """psi(a) = phi(o(a)) - z phi(t(a)) + s(t(a)) rho on the given arcs,
     with srho(v) = s(v) rho."""
-    head = {v: srho[v] - z * x for v, x in phi.items()}
+    head = {v: srho[v] - x if z == 1 else srho[v] + x
+            for v, x in phi.items()}
     return {(u, v): phi[u] + head[v] for u, v in arcs}
 
 
@@ -126,19 +133,20 @@ def _poisson_route(inst, s, signless):
     rho, ground = RAT_ZERO, None
     lz = (laplacian if z == 1 else signless_laplacian)(g)
     if not signless:
-        rho = sum((s[v] * a for v, a in alpha.items()), RAT_ZERO) / inst.r
+        rho = sum((_signed(s[v], a) for v, a in alpha.items()),
+                  RAT_ZERO) / inst.r
         ground = inst.boundary[-1]
         lz = lz.minor([ground - 1], [ground - 1])
-    srho = {v: s[v] * rho for v in s}
+    srho = {v: _signed(s[v], rho) for v in s}
     keep = [v for v in range(1, g.n + 1) if v != ground]
-    sol = lz.solve([z * (alpha[v] - srho[v]) if v in alpha else RAT_ZERO
-                    for v in keep])
+    sol = lz.solve([_signed(z, alpha[v] - srho[v]) if v in alpha
+                    else RAT_ZERO for v in keep])
     phi = dict(zip(keep, sol))
     if ground:
         phi[ground] = RAT_ZERO
     psi = ArcField(g, _arc_state(phi, z, srho, g.arcs))
-    energy = z * sum((phi[v] * (a - srho[v]) for v, a in alpha.items()),
-                     RAT_ZERO) + rho * rho * rat(g.m)
+    flux = sum((phi[v] * (a - srho[v]) for v, a in alpha.items()), RAT_ZERO)
+    energy = _signed(z, flux) + rho * rho * rat(g.m)
     return rho, phi, psi, energy, ground
 
 
@@ -157,7 +165,7 @@ def bipartite_route(inst):
         raise ValueError("at phase -1 this route needs a bipartite internal graph")
     rho, phi, psi, energy, ground = _poisson_route(inst, s, signless=False)
     g = inst.graph
-    phi = {v: inst.phase * s[v] * x for v, x in phi.items()}
+    phi = {v: _signed(inst.phase * s[v], x) for v, x in phi.items()}
     current = {a: phi[a[0]] - phi[a[1]] for a in g.arcs}
     decomp = CurrentDecomposition(rho, ArcField(g, current),
                                   VertexField(g, phi), ground)
@@ -232,7 +240,7 @@ def kirchhoff_audit(inst, psi):
     report.add("per-vertex difference constancy" if z == -1
                else "per-vertex sum constancy", const_ok)
 
-    sums = {s[v] * pair[(u, v)] for u, v in g.edges}
+    sums = {_signed(s[v], pair[(u, v)]) for u, v in g.edges}
     rho = RAT_ZERO
     if signless:
         report.add("arc symmetry", sums == {RAT_ZERO})
@@ -241,13 +249,14 @@ def kirchhoff_audit(inst, psi):
         rho = next(iter(sums)) / 2
         report.add("constant part well defined", len(sums) == 1)
         report.add("current arc antisymmetry", len(sums) == 1)
-    srho = {v: s[v] * rho for v in order}
+    srho = {v: _signed(s[v], rho) for v in order}
     report.add("current law at vertices", all(
         sum((psi[(x, u)] for x in g.neighbors(u)), inst.inflow_at(u))
         == srho[u] * inst.tilde_degree(u) for u in range(1, g.n + 1)))
     if not signless:
         report.add("tail source balance", rho * inst.r == sum(
-            (s[v] * a for v, a in zip(inst.boundary, inst.inflow)), RAT_ZERO))
+            (_signed(s[v], a) for v, a in zip(inst.boundary, inst.inflow)),
+            RAT_ZERO))
 
     # The (pseudo-)voltage law holds exactly when psi comes from a vertex
     # potential.  Integrate psi along the tree from phi(root) = 0, then
@@ -260,11 +269,11 @@ def kirchhoff_audit(inst, psi):
     for v in order:
         p = parent[v]
         phi[v] = RAT_ZERO if p is None else \
-            z * (phi[p] + srho[v] - psi[(p, v)])
+            _signed(z, phi[p] + srho[v] - psi[(p, v)])
     if signless:
         u, w = next(e for e in g.edges if color[e[0]] == color[e[1]])
-        c = (psi[(u, w)] - phi[u] - phi[w]) * s[u] / 2
-        phi = {v: x + c * s[v] for v, x in phi.items()}
+        c = _signed(s[u], psi[(u, w)] - phi[u] - phi[w]) / 2
+        phi = {v: x + _signed(s[v], c) for v, x in phi.items()}
     want = _arc_state(phi, z, srho, g.arcs if signless else g.edges)
     report.add("potential existence" if signless
                else "voltage law on fundamental cycles",

@@ -2,14 +2,19 @@
 
 Every exact route in the package runs on top of this module; floating
 point appears only in the time-domain simulator.  Scalars are
-fractions.Fraction; eliminations clear denominators and run on Python
-ints.
+fractions.Fraction.  Eliminations clear denominators and run on Python
+ints: one integer kernel (denominator clearing, the Bareiss echelon and
+one back-substitution to integer vectors over a common denominator)
+serves rank, det, nullspace and the solvers.  The minimum-norm solve
+stays on ints from the echelon to its result and builds one Fraction per
+output entry; rat_dot sums products the same way.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 
 def rat(p=0, q=1):
@@ -55,12 +60,14 @@ class RatMatrix:
 
     Storage is dense and row-major; the largest systems here are the
     2m-by-2m arc operators (42x42 for K7, up to 56x56 for 8-vertex
-    graphs).  All eliminations share one fraction-free echelon routine:
-    rank and det read its pivots, nullspace back-substitutes from it, and
-    a solve of ``self @ x = b`` reads its solutions off the kernel of
-    ``[self | -b]``.  Pivoting picks the first nonzero entry in column
-    order; exact arithmetic needs no numerical pivoting and this keeps
-    results deterministic.
+    graphs).  All eliminations share one fraction-free integer echelon:
+    rank and det read its pivots, and the back-substitution turns it into
+    integer kernel vectors over one denominator, which nullspace returns
+    as Fractions.  A solve of ``self @ x = b`` reads its solutions off the
+    kernel of ``[self | -b]``; the minimum-norm solve projects them onto
+    the kernel's orthogonal complement in integers.  Pivoting picks the
+    first nonzero entry in column order; exact arithmetic needs no
+    numerical pivoting and this keeps results deterministic.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -192,24 +199,8 @@ class RatMatrix:
         0 at the other free columns, in increasing free-column order.
         """
         rows, pivots, _, _ = _echelon(self.data)
-        cols = self.cols
-        # Scaled by the last pivot, the minor of the pivot columns, every
-        # basis vector is integral, so the back-substitution stays in ints
-        # and each division is exact.
-        d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(cols):
-            if free in pivot_set:
-                continue
-            vec = [0] * cols
-            vec[free] = d
-            for row, pcol in zip(reversed(rows[:len(pivots)]),
-                                 reversed(pivots)):
-                s = sum(row[j] * vec[j] for j in range(pcol + 1, cols))
-                vec[pcol] = -s // row[pcol]
-            basis.append([rat(x, d) for x in vec])
-        return basis
+        d, basis = _kernel(rows, pivots, self.cols)
+        return [[rat(x, d) for x in vec] for vec in basis]
 
     def solve_min_norm_many(self, rhs_columns):
         """Minimum-norm (kernel-orthogonal) solutions of ``self @ x = b``.
@@ -217,25 +208,54 @@ class RatMatrix:
         For a nonsingular system this coincides with solve_many; for a
         consistent singular system it returns the unique solution
         orthogonal to the kernel.  Raises SingularMatrixError when any
-        right-hand side is inconsistent.  One reduction yields both the
-        particular solutions and the kernel basis.
+        right-hand side is inconsistent.  One reduction of
+        ``[self | -b_1 ... -b_k]`` yields both the particular solutions
+        and the kernel basis, as integer vectors over one denominator;
+        the projection runs on ints and only the small Gram system is
+        solved over the rationals.
         """
-        basis, particulars = self._augmented_kernel(rhs_columns)
-        if len(particulars) < len(rhs_columns):
-            raise SingularMatrixError(self.cols - len(basis), self.cols)
+        for col in rhs_columns:
+            if len(col) != self.rows:
+                raise ValueError("right-hand-side length mismatch")
+        n, k = self.cols, len(rhs_columns)
+        rhs = [[x if type(x) is Fraction else rat(x) for x in col]
+               for col in rhs_columns]
+        rows, _ = _clear([row + [col[i] for col in rhs]
+                          for i, row in enumerate(self.data)])
+        for row in rows:
+            row[n:] = [-x for x in row[n:]]
+        pivots, _ = _bareiss(rows)
+        rank = sum(1 for p in pivots if p < n)
+        if len(pivots) > rank:
+            raise SingularMatrixError(rank, n)
+        d, vecs = _kernel(rows, pivots, n + k)
+        # The free columns below n come first: kernel vectors of self,
+        # each divided by its content (the projection ignores their
+        # scale); then one particular solution P_t / d per right-hand side.
+        basis = []
+        for v in vecs[:n - rank]:
+            g = gcd(*v)
+            basis.append([x // g for x in v[:n]])
+        particulars = [v[:n] for v in vecs[n - rank:]]
         if not basis:
-            return particulars
-        d = len(basis)
-        gram = RatMatrix([[_dot(basis[i], basis[j]) for j in range(d)]
-                          for i in range(d)])
-        proj_rhs = [[_dot(basis[i], x) for i in range(d)] for x in particulars]
-        coeffs = gram.solve_many(proj_rhs)
+            return [[rat(x, d) for x in p] for p in particulars]
+        # x = P / d - sum_i c_i B_i with (B^T B) c = B^T P / d.
+        gram = [[0] * len(basis) for _ in basis]
+        for i, u in enumerate(basis):
+            for j in range(i, len(basis)):
+                gram[i][j] = gram[j][i] = sum(map(mul, u, basis[j]))
+        coeffs = RatMatrix(gram).solve_many(
+            [[rat(sum(map(mul, u, p)), d) for u in basis]
+             for p in particulars])
         solutions = []
-        for x, c in zip(particulars, coeffs):
-            for ci, vec in zip(c, basis):
-                if ci != 0:
-                    x = [xi - ci * vi for xi, vi in zip(x, vec)]
-            solutions.append(x)
+        for p, c in zip(particulars, coeffs):
+            q = lcm(d, *(ci.denominator for ci in c))
+            x = [pi * (q // d) for pi in p]
+            for ci, u in zip(c, basis):
+                if ci:
+                    f = ci.numerator * (q // ci.denominator)
+                    x = [xi - f * ui for xi, ui in zip(x, u)]
+            solutions.append([rat(xi, q) for xi in x])
         return solutions
 
     def solve_min_norm(self, b):
@@ -247,30 +267,39 @@ class RatMatrix:
         return x
 
 
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), RAT_ZERO)
+def rat_dot(u, v, divisor=1):
+    """The exact sum of u_i * v_i, divided by the int ``divisor``, taken
+    over one common denominator so that only the result is a Fraction.
+    Entries are Fractions or ints."""
+    terms = [(a.numerator * b.numerator, a.denominator * b.denominator)
+             for a, b in zip(u, v)]
+    den = lcm(*(q for _, q in terms))
+    return Fraction(sum(p * (den // q) for p, q in terms), den * divisor)
 
 
-def _echelon(data):
-    """Fraction-free row echelon form of a rational matrix (Bareiss 1968).
-
-    Each row is first multiplied by the lcm of its denominators, so the
-    elimination runs on Python ints; Bareiss' division by the previous
-    pivot is exact.  Pivots are the first nonzero entry in column order
-    (columns with none are skipped), which keeps results deterministic.
-
-    Returns (rows, pivots, scale, sign): the integer echelon rows, the
-    pivot column of each leading row, the product of the row multipliers
-    and the sign of the row permutation.  The k-th pivot is the leading
-    k-by-k minor of the permuted integer matrix on the pivot columns, so
-    a square nonsingular matrix has det = sign * last pivot / scale.
-    """
+def _clear(data):
+    """Integer rows of a rational matrix: each row multiplied by the lcm of
+    its denominators.  Returns (rows, the product of the multipliers)."""
     rows = []
     scale = 1
     for row in data:
-        m = lcm(*(x.denominator for x in row))
+        dens = [x.denominator for x in row]
+        m = lcm(*dens)
         scale *= m
-        rows.append([x.numerator * (m // x.denominator) for x in row])
+        rows.append([x.numerator * (m // q) for x, q in zip(row, dens)])
+    return rows, scale
+
+
+def _bareiss(rows):
+    """Fraction-free row echelon form of integer rows, in place (Bareiss
+    1968); the division by the previous pivot is exact.  Pivots are the
+    first nonzero entry in column order (columns with none are skipped),
+    which keeps results deterministic.
+
+    Returns (pivots, sign): the pivot column of each leading row and the
+    sign of the row permutation.  The k-th pivot is the leading k-by-k
+    minor of the permuted matrix on the pivot columns.
+    """
     nrows = len(rows)
     sign = 1
     pivots = []
@@ -293,4 +322,39 @@ def _echelon(data):
                        for a, b in zip(rows[i], prow)]
         prev = p
         pivots.append(col)
+    return pivots, sign
+
+
+def _echelon(data):
+    """The integer echelon form of a rational matrix: (rows, pivots,
+    scale, sign) from _clear and _bareiss.  A square nonsingular matrix
+    has det = sign * last pivot / scale."""
+    rows, scale = _clear(data)
+    pivots, sign = _bareiss(rows)
     return rows, pivots, scale, sign
+
+
+def _kernel(rows, pivots, cols):
+    """Back-substitution from an integer echelon form with ``cols``
+    columns: (d, vectors), where vector / d is the kernel basis vector of
+    one free column (1 there, 0 at the other free columns), in increasing
+    free-column order.
+
+    d is the last pivot, the minor of the pivot columns; scaled by it
+    every basis vector is integral, so each division here is exact.
+    """
+    d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    pivot_set = set(pivots)
+    steps = [(pcol, row[pcol], row[pcol + 1:])
+             for row, pcol in zip(reversed(rows[:len(pivots)]),
+                                  reversed(pivots))]
+    vectors = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        vec = [0] * cols
+        vec[free] = d
+        for pcol, p, tail in steps:
+            vec[pcol] = -sum(map(mul, tail, vec[pcol + 1:])) // p
+        vectors.append(vec)
+    return d, vectors

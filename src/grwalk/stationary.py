@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import bipartition
-from .ratlin import RAT_ONE, RAT_ZERO, RatMatrix, rat
+from .ratlin import RAT_ONE, RAT_ZERO, RatMatrix, rat, rat_dot
 
 
 @dataclass
@@ -112,36 +112,48 @@ def stationary_state(inst, unit_states=None):
 
     Given ``unit_states`` (from ``unit_stationary_states``), psi is built
     as sum_k alpha_k psi_k without another reduction: rho is linear in
-    the inflow alpha and so is the minimum-norm solution.
+    the inflow alpha and so is the minimum-norm solution.  It needs one
+    state per boundary vertex, or ValueError is raised.
     """
     if unit_states is None:
         a = _fixed_point_matrix(inst)
         psi = a.solve_min_norm(source_vector(inst))
         return ArcField.from_vector(inst.graph, psi)
+    _check_unit_states(inst, unit_states)
     return ArcField(inst.graph, {
-        arc: sum((alpha * state[arc]
-                  for alpha, state in zip(inst.inflow, unit_states)),
-                 RAT_ZERO)
+        arc: rat_dot(inst.inflow, [state[arc] for state in unit_states])
         for arc in inst.graph.arcs})
+
+
+def _check_unit_states(inst, unit_states):
+    if len(unit_states) != inst.r:
+        raise ValueError(f"{len(unit_states)} unit states for "
+                         f"{inst.r} boundary vertices")
 
 
 def outflow(inst, psi, inflow=None):
     """The outflow vector beta: one coin application at each boundary vertex,
-    including the inbound tail amplitude."""
+    including the inbound tail amplitude:
+    beta_j = eps ((2 - d) alpha_j + 2 sum_x psi(x, v_j)) / d, with the coin
+    sign eps = z and d = deg~(v_j).
+    """
     g = inst.graph
-    eps = coin_sign(inst.phase)
+    eps = inst.phase
     alpha = inst.inflow if inflow is None else tuple(rat(a) for a in inflow)
     beta = []
     for j, v in enumerate(inst.boundary):
-        incoming = sum((psi[(x, v)] for x in g.neighbors(v)), RAT_ZERO)
-        w = rat(2, inst.tilde_degree(v))
-        beta.append(eps * (w * (alpha[j] + incoming) - alpha[j]))
+        deg = inst.tilde_degree(v)
+        neighbors = g.neighbors(v)
+        beta.append(rat_dot([eps * (2 - deg)] + [2 * eps] * len(neighbors),
+                            [alpha[j]] + [psi[(x, v)] for x in neighbors],
+                            deg))
     return beta
 
 
 def comfortability_direct(psi):
     """Half the squared amplitude mass of psi over all internal arcs."""
-    return rat(1, 2) * sum((v * v for v in psi.values.values()), RAT_ZERO)
+    values = list(psi.values.values())
+    return rat_dot(values, values, 2)
 
 
 def boundary_sort_order(inst, part=None):
@@ -209,6 +221,7 @@ def scattering(inst, unit_states=None):
     r = inst.r
     if unit_states is None:
         unit_states = unit_stationary_states(inst)
+    _check_unit_states(inst, unit_states)
     columns = [outflow(inst, psi, inflow=[int(j == k) for j in range(r)])
                for k, psi in enumerate(unit_states)]
     sigma = RatMatrix([list(row) for row in zip(*columns)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grwalk.ratlin import (RatMatrix, SingularMatrixError, format_rational,
-                           parse_rational, rat)
+                           parse_rational, rat, rat_dot)
 
 rationals = st.builds(rat, st.integers(-20, 20), st.integers(1, 12))
 # Half zeros: zero leading entries force row swaps even at full rank.
@@ -21,13 +21,15 @@ def mat_strategy(n):
 
 
 @st.composite
-def low_rank_matrices(draw, max_rows=6, max_cols=7, square=False):
+def low_rank_matrices(draw, max_rows=6, max_cols=7, square=False,
+                      deficient=False):
     """Sparse products B*C of inner dimension k <= min(rows, cols), with
     some columns zeroed, so that the echelon has to swap rows and skip
-    pivot columns."""
+    pivot columns.  ``deficient`` keeps k below min(rows, cols), so the
+    rank is too."""
     rows = draw(st.integers(1, max_rows))
     cols = rows if square else draw(st.integers(1, max_cols))
-    k = draw(st.integers(0, min(rows, cols)))
+    k = draw(st.integers(0, min(rows, cols) - deficient))
     b = draw(st.lists(st.lists(sparse_rationals, min_size=k, max_size=k),
                       min_size=rows, max_size=rows))
     c = draw(st.lists(st.lists(sparse_rationals, min_size=cols, max_size=cols),
@@ -216,3 +218,94 @@ def test_solve_many_singular_exactly_when_det_vanishes(a, b):
 
 def test_det_of_empty_matrix_is_one():
     assert RatMatrix([]).det() == rat(1)
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), rat(0))
+
+
+def _reference_solve_min_norm_many(a, rhs_columns):
+    """RatMatrix.solve_min_norm_many with the kernel read through
+    nullspace() and the Gram projection done in Fractions."""
+    basis, particulars = a._augmented_kernel(rhs_columns)
+    if len(particulars) < len(rhs_columns):
+        raise SingularMatrixError(a.cols - len(basis), a.cols)
+    if not basis:
+        return particulars
+    d = len(basis)
+    gram = RatMatrix([[_dot(basis[i], basis[j]) for j in range(d)]
+                      for i in range(d)])
+    proj_rhs = [[_dot(basis[i], x) for i in range(d)] for x in particulars]
+    coeffs = gram.solve_many(proj_rhs)
+    solutions = []
+    for x, c in zip(particulars, coeffs):
+        for ci, vec in zip(c, basis):
+            if ci != 0:
+                x = [xi - ci * vi for xi, vi in zip(x, vec)]
+        solutions.append(x)
+    return solutions
+
+
+def _outcome(solver, a, rhs):
+    try:
+        return solver(a, rhs)
+    except SingularMatrixError as err:
+        return ("singular", err.rank, err.size)
+
+
+@st.composite
+def min_norm_systems(draw):
+    """A matrix up to 8x8 (square or not, half of them rank-deficient by
+    construction), up to three consistent right-hand sides A y, and, when
+    A has a left kernel, the index at which an inconsistent one A y + w
+    (w^T A = 0, w != 0) is inserted, or None."""
+    a = draw(st.one_of(
+        low_rank_matrices(max_rows=8, max_cols=8),
+        low_rank_matrices(max_rows=8, max_cols=8, deficient=True),
+        low_rank_matrices(max_rows=8, square=True, deficient=True)))
+    ys = draw(st.lists(st.lists(sparse_rationals, min_size=a.cols,
+                                max_size=a.cols), max_size=3))
+    rhs = [a.mul_vec(y) for y in ys]
+    left_kernel = a.transpose().nullspace()
+    bad = None
+    if left_kernel and draw(st.booleans()):
+        bad = draw(st.integers(0, len(rhs)))
+        y = draw(st.lists(sparse_rationals, min_size=a.cols,
+                          max_size=a.cols))
+        w = left_kernel[draw(st.integers(0, len(left_kernel) - 1))]
+        rhs.insert(bad, [x + wi for x, wi in zip(a.mul_vec(y), w)])
+    return a, rhs, bad
+
+
+@given(min_norm_systems())
+@settings(max_examples=150, deadline=None)
+def test_integer_min_norm_equals_fraction_reference(system):
+    a, rhs, bad = system
+    got = _outcome(RatMatrix.solve_min_norm_many, a, rhs)
+    assert got == _outcome(_reference_solve_min_norm_many, a, rhs)
+    if bad is None:
+        assert len(got) == len(rhs)
+        assert all(type(x) is Fraction for col in got for x in col)
+        assert [a.mul_vec(x) for x in got] == rhs
+    else:
+        assert got == ("singular", a.rank(), a.cols)
+    assert a.solve_min_norm_many([]) == [] == \
+        _reference_solve_min_norm_many(a, [])
+
+
+def test_min_norm_rejects_wrong_rhs_length():
+    a = RatMatrix([[rat(1), rat(1)], [rat(1), rat(1)]])
+    with pytest.raises(ValueError, match="right-hand-side length"):
+        a.solve_min_norm_many([[rat(1)]])
+
+
+def test_rat_dot_is_one_exact_fraction():
+    u = [rat(1, 2), 3, rat(-2, 9), rat(0)]
+    v = [rat(1, 3), rat(5, 4), 6, rat(7, 11)]
+    got = rat_dot(u, v)
+    assert got == _dot(u, v) == rat(1, 6) + rat(15, 4) - rat(4, 3)
+    assert type(got) is Fraction
+    assert type(rat_dot([], [])) is Fraction and rat_dot([], []) == 0
+    assert type(rat_dot([2], [3])) is Fraction
+    assert rat_dot(u, v, 6) == got / 6 and type(rat_dot(u, v, 6)) is Fraction
+    assert rat_dot([rat(1, 2)], [rat(1, 2)], 2) == rat(1, 8)

@@ -1,14 +1,18 @@
 """Exact stationary states, outflow, and the scattering theorem."""
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
+from test_ratlin import _reference_solve_min_norm_many
 
 from grwalk.catalog import standard_sweep
 from grwalk.graphs import (Graph, WalkInstance, bipartition, complete_graph,
                            cycle_graph, enumerate_connected, path_graph,
                            standard_instance, star_graph)
 from grwalk.ratlin import RatMatrix, rat
-from grwalk.stationary import (comfortability_direct, internal_operator,
+from grwalk.stationary import (ArcField, _fixed_point_matrix, coin_sign,
+                               comfortability_direct, internal_operator,
                                outflow, predicted_scattering, scattering,
                                source_vector, stationary_state,
                                unit_stationary_states, with_inflow)
@@ -262,3 +266,90 @@ def test_pseudo_kirchhoff_on_nonbipartite():
     for u in range(1, 5):
         total = sum((psi[(x, u)] for x in g.neighbors(u)), rat(0))
         assert total == -inst.inflow_at(u)
+
+
+def test_stationary_state_rejects_wrong_unit_state_count():
+    k4 = standard_instance(complete_graph(4), 1, 4)
+    states = unit_stationary_states(k4)
+    for wrong in ([], states[:1], states + states[:1]):
+        with pytest.raises(ValueError, match="unit states for 2 boundary"):
+            stationary_state(k4, unit_states=wrong)
+
+
+def test_scattering_rejects_wrong_unit_state_count():
+    k4 = standard_instance(complete_graph(4), 1, 4)
+    states = unit_stationary_states(k4)
+    for wrong in ([], states[:1], states + states[:1]):
+        with pytest.raises(ValueError, match="unit states for 2 boundary"):
+            scattering(k4, unit_states=wrong)
+
+
+def _reference_unit_states(inst):
+    """unit_stationary_states through the Fraction-Gram solver."""
+    a = _fixed_point_matrix(inst)
+    columns = [source_vector(with_inflow(inst, [rat(int(j == k))
+                                                for j in range(inst.r)]))
+               for k in range(inst.r)]
+    return [ArcField.from_vector(inst.graph, sol)
+            for sol in _reference_solve_min_norm_many(a, columns)]
+
+
+def _reference_outflow(inst, psi, inflow=None):
+    """outflow with one Fraction per term."""
+    g = inst.graph
+    eps = coin_sign(inst.phase)
+    alpha = inst.inflow if inflow is None else tuple(rat(a) for a in inflow)
+    beta = []
+    for j, v in enumerate(inst.boundary):
+        incoming = sum((psi[(x, v)] for x in g.neighbors(v)), rat(0))
+        w = rat(2, inst.tilde_degree(v))
+        beta.append(eps * (w * (alpha[j] + incoming) - alpha[j]))
+    return beta
+
+
+def _reference_comfort(psi):
+    return rat(1, 2) * sum((v * v for v in psi.values.values()), rat(0))
+
+
+def _assert_exact_sums_match_reference(inst):
+    states = unit_stationary_states(inst)
+    assert states == _reference_unit_states(inst)
+    fields = states + [stationary_state(inst, unit_states=states)]
+    assert fields[-1].values == {
+        arc: sum((a * st[arc] for a, st in zip(inst.inflow, states)), rat(0))
+        for arc in inst.graph.arcs}
+    for k, psi in enumerate(fields):
+        unit = None if k == inst.r else [int(j == k) for j in range(inst.r)]
+        beta = outflow(inst, psi, inflow=unit)
+        comfort = comfortability_direct(psi)
+        assert beta == _reference_outflow(inst, psi, inflow=unit)
+        assert comfort == _reference_comfort(psi)
+        values = list(psi.values.values()) + beta + [comfort]
+        assert all(type(x) is Fraction for x in values)
+
+
+@pytest.mark.parametrize("z", [-1, 1])
+def test_exact_sums_equal_fraction_reference_on_catalog(z):
+    # Every standard pair (both directions share one solve) of every
+    # connected graph with n <= 4.
+    pairs = 0
+    for n in range(2, 5):
+        for g in enumerate_connected(n):
+            for u, v in itertools.combinations(range(1, n + 1), 2):
+                _assert_exact_sums_match_reference(
+                    standard_instance(g, u, v, z))
+                pairs += 1
+    assert pairs == 1 + 12 + 228
+
+
+@pytest.mark.parametrize("z", [-1, 1])
+def test_exact_sums_equal_fraction_reference_on_random_instances(z):
+    rng = random.Random(20 + z)
+    graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
+    for g in rng.sample(graphs, 120):
+        r = rng.randint(1, min(3, g.n))
+        boundary = tuple(rng.sample(range(1, g.n + 1), r))
+        inflow = tuple(rat(rng.randint(-5, 5), rng.randint(1, 6))
+                       for _ in boundary)
+        _assert_exact_sums_match_reference(
+            WalkInstance(g, boundary, inflow, z))
