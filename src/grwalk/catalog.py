@@ -9,11 +9,13 @@ collapse into a small number of value classes keyed by
 ten classic classes.  Classes are presented with edge count descending,
 bipartite classes first within an edge count, energy ascending among
 bipartite classes and descending among non-bipartite ones.
+
+Each self-test suite takes ``sweep``, through which selftest() hands all
+suites one shared catalog sweep per run.
 """
 from __future__ import annotations
 
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -292,7 +294,7 @@ class SuiteResult:
     seconds: float
 
 
-def _suite_worked_values():
+def _suite_worked_values(_sweep):
     report = rank(4, -1)
     values = [str(r.comfort) for r in report.rows]
     labels = [r.label for r in report.rows]
@@ -303,28 +305,9 @@ def _suite_worked_values():
     return ok, f"classes={values} labels={labels}"
 
 
-# The running selftest()'s list of sweep records; None outside selftest().
-_RUN_SWEEP = ContextVar("selftest_sweep", default=None)
-
-
-def _sweep_records():
-    """The records of standard_sweep(n) for n = 2..5, as a list.
-
-    Inside selftest() the first suite that asks sweeps and the later
-    suites share its list, which selftest() drops when it returns;
-    outside it, every call sweeps afresh."""
-    shared = _RUN_SWEEP.get()
-    if shared:
-        return shared
-    records = [rec for n in range(2, 6) for rec in standard_sweep(n)]
-    if shared is not None:
-        shared.extend(records)
-    return records
-
-
-def _suite_three_routes():
+def _suite_three_routes(sweep):
     bad = []
-    for g, pair, configs, _ in _sweep_records():
+    for g, pair, configs, _ in sweep():
         for cfg in configs:
             u1, un = cfg.boundary
             closed = closed_form_comfort(g, u1, un, -1)
@@ -339,20 +322,20 @@ def _suite_three_routes():
     return not bad, f"{len(bad)} disagreements" + (f", first {bad[0]}" if bad else "")
 
 
-def _suite_scattering():
-    reports = [report for _, _, _, report in _sweep_records()]
+def _suite_scattering(sweep):
+    reports = [report for _, _, _, report in sweep()]
     bad = sum(not (r.orthogonal and r.matches_prediction) for r in reports)
     return bad == 0, f"{len(reports)} pairs checked, {bad} failures"
 
 
-def _suite_kirchhoff():
+def _suite_kirchhoff(sweep):
     oks = [kirchhoff_audit(standard_instance(g, *cfg.boundary), cfg.psi).ok
-           for g, _, configs, _ in _sweep_records() for cfg in configs]
+           for g, _, configs, _ in sweep() for cfg in configs]
     bad = oks.count(False)
     return bad == 0, f"{len(oks)} states audited, {bad} failures"
 
 
-def _suite_factor_oracles(n_max=5):
+def _suite_factor_oracles(_sweep, n_max=5):
     bad = 0
     checked = 0
     for n in range(2, n_max + 1):
@@ -369,17 +352,17 @@ def _suite_factor_oracles(n_max=5):
     return bad == 0, f"{checked} graphs, {bad} oracle mismatches"
 
 
-def _suite_incidence():
+def _suite_incidence(_sweep):
     from .factors import cycle_incidence_check
     ok = all(abs(cycle_incidence_check(L)) == 2 for L in range(3, 10, 2)) and \
         all(cycle_incidence_check(L) == 0 for L in range(4, 9, 2))
     return ok, "odd cycles give +-2, even cycles give 0"
 
 
-def _suite_simulator(n_max=4, steps=2000, tol=1e-6):
+def _suite_simulator(sweep, n_max=4, steps=2000, tol=1e-6):
     worst = 0.0
     count = 0
-    for g, pair, configs, _ in _sweep_records():
+    for g, pair, configs, _ in sweep():
         if g.n > n_max:
             continue
         for cfg in configs:
@@ -402,19 +385,26 @@ SELFTEST_SUITES = [
 
 
 def selftest():
-    """Run every invariant suite across the small-graph catalog; the
-    suites share one catalog sweep."""
-    token = _RUN_SWEEP.set([])
+    """Run every invariant suite across the small-graph catalog.
+
+    Each suite is called with ``sweep``, which returns standard_sweep(n)
+    for n = 2..5 as a list, swept on its first call in this run and
+    shared by the later ones."""
+    records = []
+
+    def sweep():
+        if not records:
+            records.extend([rec for n in range(2, 6)
+                            for rec in standard_sweep(n)])
+        return records
+
     results = []
-    try:
-        for name, fn in SELFTEST_SUITES:
-            start = time.perf_counter()
-            try:
-                ok, detail = fn()
-            except Exception as exc:          # a crashed suite is a failure
-                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-            results.append(SuiteResult(name, ok, detail,
-                                       time.perf_counter() - start))
-    finally:
-        _RUN_SWEEP.reset(token)
+    for name, fn in SELFTEST_SUITES:
+        start = time.perf_counter()
+        try:
+            ok, detail = fn(sweep)
+        except Exception as exc:          # a crashed suite is a failure
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        results.append(SuiteResult(name, ok, detail,
+                                   time.perf_counter() - start))
     return results

@@ -16,10 +16,12 @@ subsets.  It counts factors one by one and shares nothing with the
 determinant code, which keeps it an independent check.
 
 Every determinant count is a principal minor of one of two matrices of
-the graph, so a bounded per-graph memo builds each matrix at most once
-and takes each minor's determinant at most once.  A sweep over all
-ordered boundary pairs of a graph (``catalog.rank``) then pays for a few
-determinants per graph instead of several per pair and phase.
+the graph.  One memo per graph, bounded to the 32 most recently used
+graphs, enumerates, 2-colours, builds each matrix and takes each minor's
+determinant at most once.  A sweep over all ordered boundary pairs of a
+graph (``catalog.rank``) then pays for a few determinants per graph
+instead of several per pair and phase, and "both" mode for one
+enumeration per graph.
 """
 from __future__ import annotations
 
@@ -61,7 +63,6 @@ class FactorCounts:
     omega_histogram: dict
 
 
-@functools.lru_cache(maxsize=32)
 def _enumerate_factors(g):
     """Count every member of the four factor families in one pruned search.
 
@@ -192,32 +193,35 @@ def _int_det(mat):
     return int(d.numerator)
 
 
-class _MinorDeterminants:
-    """Principal-minor determinants of one graph's L_z = D - zM, the
-    Laplacian at z = 1 and the signless Laplacian at z = -1, and the
-    graph's parity.
+# _FactorMemo(g) is g's memo while g is among the 32 most recently used
+# graphs; _FactorMemo.__wrapped__(g) builds a fresh one.
+@functools.lru_cache(maxsize=32)
+class _FactorMemo:
+    """One graph's factor enumeration, its parity and the principal-minor
+    determinants of its L_z = D - zM, the Laplacian at z = 1 and the
+    signless Laplacian at z = -1.
 
-    Each matrix is built on first use and each determinant is taken once,
-    keyed by the sorted tuple of dropped vertices; the parity, which picks
-    the closed form, is 2-coloured once, on first use.  The matrices never
-    leave this object, so no caller can change a memoised count.
+    The enumeration and the parity, which picks the closed form, are
+    worked out on first use.  Each matrix is built on first use and each
+    determinant is taken once, keyed by the sorted tuple of dropped
+    vertices.  The matrices never leave this object, so no caller can
+    change a memoised count.
     """
-
-    __slots__ = ("graph", "matrices", "dets", "_bipartite")
 
     def __init__(self, g):
         self.graph = g
         self.matrices = {}
         self.dets = {}
-        self._bipartite = None
 
-    @property
+    @functools.cached_property
+    def enumeration(self):
+        return _enumerate_factors(self.graph)
+
+    @functools.cached_property
     def bipartite(self):
-        if self._bipartite is None:
-            self._bipartite = bipartition(self.graph) is not None
-        return self._bipartite
+        return bipartition(self.graph) is not None
 
-    def __call__(self, z, dropped):
+    def det(self, z, dropped):
         key = (z, dropped)
         value = self.dets.get(key)
         if value is None:
@@ -228,13 +232,6 @@ class _MinorDeterminants:
             index = [v - 1 for v in dropped]
             value = self.dets[key] = _int_det(mat.minor(index, index))
         return value
-
-
-@functools.lru_cache(maxsize=32)
-def _minor_determinants(g):
-    """The memo of g's minor determinants (bounded like the enumeration
-    cache, so a catalog sweep keeps only the graphs it recently visited)."""
-    return _MinorDeterminants(g)
 
 
 def _check_args(g, method, *vertices):
@@ -260,11 +257,12 @@ def spanning_tree_count(g, method="both"):
     """chi1: spanning trees, by enumeration and/or the grounded Laplacian
     determinant (any ground vertex; u_n by convention elsewhere)."""
     _check_args(g, method)
+    memo = _FactorMemo(g)
     enum_value = det_value = None
     if method != "det":
-        enum_value = _enumerate_factors(g)[0]
+        enum_value = memo.enumeration[0]
     if method != "enum":
-        det_value = _minor_determinants(g)(1, (g.n,))
+        det_value = memo.det(1, (g.n,))
     return _check("chi1", method, enum_value, det_value)
 
 
@@ -275,11 +273,12 @@ def two_forest_count(g, u1, un, method="both"):
     if u1 == un:
         raise ValueError("chi2 needs two distinct vertices")
     key = (u1, un) if u1 < un else (un, u1)
+    memo = _FactorMemo(g)
     enum_value = det_value = None
     if method != "det":
-        enum_value = _enumerate_factors(g)[1].get(key, 0)
+        enum_value = memo.enumeration[1].get(key, 0)
     if method != "enum":
-        det_value = _minor_determinants(g)(1, key)
+        det_value = memo.det(1, key)
     return _check("chi2", method, enum_value, det_value)
 
 
@@ -287,15 +286,15 @@ def odd_unicyclic_sums(g, u1, method="both"):
     """(iota1, iota2): 4^omega-weighted counts of the all-odd-unicyclic
     factors and the u1-tree-plus-odd-unicyclic factors."""
     _check_args(g, method, u1)
+    memo = _FactorMemo(g)
     enum1 = enum2 = det1 = det2 = None
     if method != "det":
-        data = _enumerate_factors(g)
+        data = memo.enumeration
         enum1 = data[2][0]
         enum2 = data[3][u1][0]
     if method != "enum":
-        dets = _minor_determinants(g)
-        det1 = dets(-1, ())
-        det2 = dets(-1, (u1,))
+        det1 = memo.det(-1, ())
+        det2 = memo.det(-1, (u1,))
     return (_check("iota1", method, enum1, det1),
             _check("iota2", method, enum2, det2))
 
@@ -307,7 +306,7 @@ def factor_counts(g, u1, un, method="both"):
     iota1, iota2 = odd_unicyclic_sums(g, u1, method)
     hist = None
     if method != "det":
-        data = _enumerate_factors(g)
+        data = _FactorMemo(g).enumeration
         hist = {"odd_unicyclic": dict(data[2][1]),
                 "tree_plus_odd_unicyclic": dict(data[3][u1][1])}
     return FactorCounts(chi1, chi2, iota1, iota2, g.m, hist)
@@ -322,7 +321,7 @@ def closed_form_comfort(g, u1, un, z=-1):
     _check_args(g, "det", u1, un)
     if u1 == un:
         raise ValueError("the closed form needs two distinct tail vertices")
-    if z == -1 and not _minor_determinants(g).bipartite:
+    if z == -1 and not _FactorMemo(g).bipartite:
         iota1, iota2 = odd_unicyclic_sums(g, u1, method="det")
         return rat(iota2, iota1)
     chi1 = spanning_tree_count(g, method="det")

@@ -178,10 +178,11 @@ class Bipartition:
 def _two_color(g):
     """Breadth-first 2-colouring from vertex 1 (colour 0).
 
-    Returns (color, parent, order): the colours, the spanning tree's
-    parent links (None at the root) and the visiting order, in which every
-    vertex comes after its parent.  The colouring is proper exactly when g
-    is bipartite.
+    Returns (color, parent, order, odd_edge): the colours, the spanning
+    tree's parent links (None at the root), the visiting order, in which
+    every vertex comes after its parent, and the first edge of g.edges
+    whose ends share a colour.  odd_edge is None exactly when g is
+    bipartite; otherwise its tree paths close an odd cycle.
     """
     color = {1: 0}
     parent = {1: None}
@@ -195,15 +196,15 @@ def _two_color(g):
                 color[w] = 1 - color[u]
                 parent[w] = u
                 queue.append(w)
-    return color, parent, order
+    odd_edge = next((e for e in g.edges if color[e[0]] == color[e[1]]), None)
+    return color, parent, order, odd_edge
 
 
 def bipartition(g):
     """The bipartition of g (vertex 1 in X), or None if g has an odd cycle."""
-    color = _two_color(g)[0]
-    for u, v in g.edges:
-        if color[u] == color[v]:
-            return None
+    color, _, _, odd_edge = _two_color(g)
+    if odd_edge is not None:
+        return None
     X = frozenset(v for v in color if color[v] == 0)
     Y = frozenset(v for v in color if color[v] == 1)
     return Bipartition(X, Y)
@@ -215,24 +216,23 @@ def odd_cycle_witness(g):
     Found from the first 2-coloring conflict of a breadth-first search;
     only existence matters downstream, so any valid odd cycle suffices.
     """
-    color, parent, _ = _two_color(g)
-    for u, v in g.edges:
-        if color[u] == color[v]:
-            path_u, path_v = [u], [v]
-            seen_u = {u: 0}
-            x = u
-            while parent[x] is not None:
-                x = parent[x]
-                seen_u[x] = len(path_u)
-                path_u.append(x)
-            x = v
-            while x not in seen_u:
-                x = parent[x]
-                path_v.append(x)
-            lca = path_v[-1]
-            cycle = path_u[:seen_u[lca] + 1] + path_v[-2::-1]
-            return cycle
-    return None
+    _, parent, _, odd_edge = _two_color(g)
+    if odd_edge is None:
+        return None
+    u, v = odd_edge
+    path_u, path_v = [u], [v]
+    seen_u = {u: 0}
+    x = u
+    while parent[x] is not None:
+        x = parent[x]
+        seen_u[x] = len(path_u)
+        path_u.append(x)
+    x = v
+    while x not in seen_u:
+        x = parent[x]
+        path_v.append(x)
+    lca = path_v[-1]
+    return path_u[:seen_u[lca] + 1] + path_v[-2::-1]
 
 
 def enumerate_connected(n):

@@ -98,15 +98,14 @@ class CurrentDecomposition:
 
 def _switching(inst):
     """The switching sign s of inst and the breadth-first tree it is read
-    from: (s, bipartite, color, parent, order), the last three as
-    _two_color returns them.  At z = -1, s(v) = -1 on the colour class
-    without boundary[0] and 1 on the other; at z = +1, s = 1 everywhere."""
-    g = inst.graph
-    color, parent, order = _two_color(g)
+    from: (s, odd_edge, parent, order), the last three as _two_color
+    returns them (odd_edge is None exactly for a bipartite graph).  At
+    z = -1, s(v) = -1 on the colour class without boundary[0] and 1 on
+    the other; at z = +1, s = 1 everywhere."""
+    color, parent, order, odd_edge = _two_color(inst.graph)
     side = color[inst.boundary[0]]
     s = {v: -1 if inst.phase == -1 and color[v] != side else 1 for v in order}
-    return (s, all(color[u] != color[v] for u, v in g.edges),
-            color, parent, order)
+    return s, odd_edge, parent, order
 
 
 def _signed(sign, x):
@@ -160,8 +159,8 @@ def bipartite_route(inst):
     q(v_j) = s(v_j) alpha_j - rho; the current is
     j(a) = phi_L(o(a)) - phi_L(t(a)), so psi(a) = s(t(a)) (j(a) + rho).
     """
-    s, bipartite = _switching(inst)[:2]
-    if inst.phase == -1 and not bipartite:
+    s, odd_edge = _switching(inst)[:2]
+    if inst.phase == -1 and odd_edge is not None:
         raise ValueError("at phase -1 this route needs a bipartite internal graph")
     rho, phi, psi, energy, ground = _poisson_route(inst, s, signless=False)
     g = inst.graph
@@ -180,8 +179,8 @@ def nonbipartite_route(inst):
     Returns (potential, reconstructed ArcField, total energy); the energy
     phi^T Q phi equals -sum_j alpha_j phi(v_j).
     """
-    s, bipartite = _switching(inst)[:2]
-    if inst.phase == 1 or bipartite:
+    s, odd_edge = _switching(inst)[:2]
+    if inst.phase == 1 or odd_edge is None:
         raise ValueError("this route needs a non-bipartite internal graph "
                          "at phase -1")
     _, phi, psi, energy, _ = _poisson_route(inst, s, signless=True)
@@ -222,9 +221,9 @@ def kirchhoff_audit(inst, psi):
     implementation bug; the report lists every violated law.
     """
     g, z = inst.graph, inst.phase
-    s, bipartite, color, parent, order = _switching(inst)
-    signless = z == -1 and not bipartite
-    report = AuditReport(bipartite=bipartite)
+    s, odd_edge, parent, order = _switching(inst)
+    signless = z == -1 and odd_edge is not None
+    report = AuditReport(bipartite=odd_edge is None)
     combine = sub if z == -1 else add
     beta = outflow(inst, psi)
     tail = {v: combine(beta[j], inst.inflow[j])
@@ -271,7 +270,7 @@ def kirchhoff_audit(inst, psi):
         phi[v] = RAT_ZERO if p is None else \
             _signed(z, phi[p] + srho[v] - psi[(p, v)])
     if signless:
-        u, w = next(e for e in g.edges if color[e[0]] == color[e[1]])
+        u, w = odd_edge
         c = _signed(s[u], psi[(u, w)] - phi[u] - phi[w]) / 2
         phi = {v: x + _signed(s[v], c) for v, x in phi.items()}
     want = _arc_state(phi, z, srho, g.arcs if signless else g.edges)

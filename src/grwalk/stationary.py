@@ -119,27 +119,29 @@ def stationary_state(inst, unit_states=None):
         a = _fixed_point_matrix(inst)
         psi = a.solve_min_norm(source_vector(inst))
         return ArcField.from_vector(inst.graph, psi)
-    _check_unit_states(inst, unit_states)
+    _check_count(inst, unit_states, "unit states")
     return ArcField(inst.graph, {
         arc: rat_dot(inst.inflow, [state[arc] for state in unit_states])
         for arc in inst.graph.arcs})
 
 
-def _check_unit_states(inst, unit_states):
-    if len(unit_states) != inst.r:
-        raise ValueError(f"{len(unit_states)} unit states for "
-                         f"{inst.r} boundary vertices")
+def _check_count(inst, values, what):
+    """Reject a list of per-boundary-vertex values of the wrong length."""
+    if len(values) != inst.r:
+        raise ValueError(f"{len(values)} {what} for {inst.r} boundary vertices")
 
 
 def outflow(inst, psi, inflow=None):
     """The outflow vector beta: one coin application at each boundary vertex,
     including the inbound tail amplitude:
     beta_j = eps ((2 - d) alpha_j + 2 sum_x psi(x, v_j)) / d, with the coin
-    sign eps = z and d = deg~(v_j).
+    sign eps = z and d = deg~(v_j).  ``inflow`` replaces inst.inflow and
+    needs one value per boundary vertex, or ValueError is raised.
     """
     g = inst.graph
     eps = inst.phase
     alpha = inst.inflow if inflow is None else tuple(rat(a) for a in inflow)
+    _check_count(inst, alpha, "inflow values")
     beta = []
     for j, v in enumerate(inst.boundary):
         deg = inst.tilde_degree(v)
@@ -156,11 +158,10 @@ def comfortability_direct(psi):
     return rat_dot(values, values, 2)
 
 
-def boundary_sort_order(inst, part=None):
+def boundary_sort_order(inst):
     """Boundary indices reordered X-side first (stable), for a bipartite
     internal graph; identity order when non-bipartite."""
-    if part is None:
-        part = bipartition(inst.graph)
+    part = bipartition(inst.graph)
     if part is None:
         return list(range(inst.r))
     xs = [j for j, v in enumerate(inst.boundary) if v in part.X]
@@ -221,7 +222,7 @@ def scattering(inst, unit_states=None):
     r = inst.r
     if unit_states is None:
         unit_states = unit_stationary_states(inst)
-    _check_unit_states(inst, unit_states)
+    _check_count(inst, unit_states, "unit states")
     columns = [outflow(inst, psi, inflow=[int(j == k) for j in range(r)])
                for k, psi in enumerate(unit_states)]
     sigma = RatMatrix([list(row) for row in zip(*columns)])

@@ -265,8 +265,8 @@ def test_analyze_r3():
 
 def test_selftest_suites_share_one_sweep(monkeypatch):
     # Only n <= 3 is swept, to keep the test fast; the four sweep suites
-    # must ask for the catalog once per selftest() run, and the shared
-    # records must not outlive the run.
+    # must ask for the catalog once per selftest() run, and the next run
+    # must sweep afresh.
     swept = []
 
     def small_sweep(n, z=-1):
@@ -284,7 +284,6 @@ def test_selftest_suites_share_one_sweep(monkeypatch):
         assert swept == [2, 3, 4, 5]
         assert all(r.ok for r in results)
         assert results[1].detail == "13 pairs checked, 0 failures"
-        assert catalog._RUN_SWEEP.get() is None
 
 
 @st.composite
@@ -326,8 +325,8 @@ def test_selftest_registry_and_cli_exit(monkeypatch, capsys):
     assert "kirchhoff-audits" in names and "factor-oracles" in names
     assert len(names) == len(set(names)) >= 7
 
-    stub_pass = [("alpha", lambda: (True, "fine")),
-                 ("beta", lambda: (True, "fine"))]
+    stub_pass = [("alpha", lambda sweep: (True, "fine")),
+                 ("beta", lambda sweep: (True, "fine"))]
     monkeypatch.setattr(catalog, "SELFTEST_SUITES", stub_pass)
     results = catalog.selftest()
     assert all(r.ok for r in results)
@@ -339,8 +338,8 @@ def test_selftest_registry_and_cli_exit(monkeypatch, capsys):
     assert cli.cmd_selftest(FakeArgs()) == 0
     assert "2/2 suites passed" in capsys.readouterr().out
 
-    stub_fail = stub_pass + [("gamma", lambda: (False, "broken")),
-                             ("delta", lambda: 1 / 0)]
+    stub_fail = stub_pass + [("gamma", lambda sweep: (False, "broken")),
+                             ("delta", lambda sweep: 1 / 0)]
     monkeypatch.setattr(catalog, "SELFTEST_SUITES", stub_fail)
     assert cli.cmd_selftest(FakeArgs()) == 1
     out = capsys.readouterr().out

@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+import grwalk.catalog as catalog
 import grwalk.cli as cli
 import grwalk.stationary as stationary
 from grwalk.cli import main
+from grwalk.graphs import parse_instance
 from grwalk.ratlin import RatMatrix, parse_rational, rat
+from grwalk.stationary import ArcField
 
 K4 = """n 4
 e 1 2
@@ -88,6 +91,38 @@ def test_analyze_human_scattering_mismatch(k4_file, monkeypatch, capsys):
     assert main(["analyze", k4_file, "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["scattering_ok"] is False and data["ok"] is False
+
+
+@pytest.mark.parametrize("route, text", [("bipartite_route", C4),
+                                         ("nonbipartite_route", K4)])
+def test_analyze_potential_reconstruction_mismatch(tmp_path, monkeypatch,
+                                                    capsys, route, text):
+    # The route keeps the right energy but changes one arc of psi.
+    real = getattr(catalog, route)
+
+    def one_arc_off(inst):
+        potential, psi, energy = real(inst)
+        values = dict(psi.values)
+        values[inst.graph.arcs[0]] += 1
+        return potential, ArcField(inst.graph, values), energy
+
+    monkeypatch.setattr(catalog, route, one_arc_off)
+    report = catalog.analyze(parse_instance(text))
+    assert not report.routes_agree and not report.ok
+    assert report.scattering_ok and report.audit.ok
+    mismatch = report.energy_routes[-1]
+    assert (mismatch.name, mismatch.value) == \
+        ("potential-reconstruction-mismatch", None)
+    path = tmp_path / "instance.gw"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "potential-reconstruction-mismatch MISMATCH" in out
+    assert "ROUTE DISAGREEMENT" in out
+    assert main(["analyze", str(path), "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["energy"]["potential-reconstruction-mismatch"] is None
+    assert data["routes_agree"] is False and data["ok"] is False
 
 
 def test_json_and_human_rationals_match(c4_file, capsys):

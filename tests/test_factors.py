@@ -248,8 +248,7 @@ def test_mutated_determinant_is_detected(monkeypatch):
     monkeypatch.setattr(factors, "signless_laplacian", real_laplacian)
     # A fresh memo per call: determinants memoised before the patch must
     # not hide it, nor may the corrupted ones outlive this test.
-    monkeypatch.setattr(factors, "_minor_determinants",
-                        factors._MinorDeterminants)
+    monkeypatch.setattr(factors, "_FactorMemo", factors._FactorMemo.__wrapped__)
     with pytest.raises(FactorMismatchError):
         odd_unicyclic_sums(complete_graph(4), 1, method="both")
 
@@ -257,7 +256,7 @@ def test_mutated_determinant_is_detected(monkeypatch):
 def test_search_equals_reference_on_small_catalog():
     for n in range(2, 6):
         for g in enumerate_connected(n):
-            got = factors._enumerate_factors.__wrapped__(g)
+            got = factors._enumerate_factors(g)
             assert got == _reference_enumeration(g), g.edges
             assert _histograms_ascend(got)
 
@@ -277,14 +276,14 @@ def connected_graphs(draw, n_max=7, m_max=12):
 @given(connected_graphs())
 @settings(max_examples=40, deadline=None)
 def test_search_equals_reference_on_random_graphs(g):
-    got = factors._enumerate_factors.__wrapped__(g)
+    got = factors._enumerate_factors(g)
     assert got == _reference_enumeration(g)
     assert _histograms_ascend(got)
 
 
 def test_n2_empty_subset_is_the_only_two_forest():
     g = Graph(2, [(1, 2)])
-    assert factors._enumerate_factors.__wrapped__(g) == \
+    assert factors._enumerate_factors(g) == \
         (1, {(1, 2): 1}, (0, {}), {1: (1, {1: 1}), 2: (1, {1: 1})})
 
 
@@ -300,6 +299,9 @@ def test_det_mode_never_enumerates(monkeypatch):
     def forbidden(g):
         raise AssertionError("det mode must not enumerate")
 
+    # An enumeration memoised by an earlier test would never reach the
+    # patched function.
+    factors._FactorMemo.cache_clear()
     monkeypatch.setattr(factors, "_enumerate_factors", forbidden)
     fc = factor_counts(complete_graph(5), 1, 5, "det")
     assert (fc.chi1, fc.omega_histogram) == (125, None)
@@ -330,7 +332,7 @@ def _forbid_counting(monkeypatch):
         raise AssertionError("counted before the arguments were checked")
 
     monkeypatch.setattr(factors, "_enumerate_factors", forbidden)
-    monkeypatch.setattr(factors, "_minor_determinants", forbidden)
+    monkeypatch.setattr(factors, "_FactorMemo", forbidden)
 
 
 def test_bad_method_rejected(monkeypatch):
@@ -366,7 +368,7 @@ def test_memo_equals_reference_closed_form():
     # used, the Laplacian first in one pass and the signless one first in
     # the other.
     graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
-    factors._minor_determinants.cache_clear()
+    factors._FactorMemo.cache_clear()
     for first, phases in enumerate([(1, -1), (-1, 1)]):
         for g in graphs:
             pairs = [(u1, un) for u1 in range(1, g.n + 1)
@@ -376,12 +378,12 @@ def test_memo_equals_reference_closed_form():
                     assert closed_form_comfort(g, u1, un, z) == \
                         _reference_closed_form(g, u1, un, z), \
                         (g.edges, u1, un, z)
-    assert factors._minor_determinants.cache_info().misses == 2 * len(graphs)
+    assert factors._FactorMemo.cache_info().misses == 2 * len(graphs)
 
 
 def test_memo_ignores_mutated_returned_matrices():
     g = complete_graph(5)
-    factors._minor_determinants.cache_clear()
+    factors._FactorMemo.cache_clear()
     assert spanning_tree_count(g, "det") == 125
     assert odd_unicyclic_sums(g, 1, "det")[0] == \
         odd_unicyclic_sums(g, 1, "enum")[0]
@@ -398,8 +400,33 @@ def test_memo_stays_bounded_over_a_rank_sweep():
     from grwalk.catalog import rank
 
     rank(5, 1)
-    info = factors._minor_determinants.cache_info()
+    info = factors._FactorMemo.cache_info()
     assert info.maxsize == 32 and info.currsize <= 32
+
+
+@pytest.mark.parametrize("g", [complete_graph(5), cycle_graph(4),
+                               path_graph(4)], ids=["K5", "C4", "P4"])
+def test_one_enumeration_per_graph(monkeypatch, g):
+    # factor_counts in "both" mode and every per-count oracle of the graph
+    # share one enumeration through the memo.
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return real(graph)
+
+    real = factors._enumerate_factors
+    factors._FactorMemo.cache_clear()
+    monkeypatch.setattr(factors, "_enumerate_factors", counted)
+    factor_counts(g, 1, g.n, "both")
+    for u, v in vertex_pairs(g.n):
+        assert two_forest_count(g, u, v, "both") == \
+            two_forest_count(g, v, u, "enum")
+    for u in range(1, g.n + 1):
+        odd_unicyclic_sums(g, u, "both")
+    assert spanning_tree_count(g, "enum") == spanning_tree_count(g, "det")
+    assert calls == [g]
+    assert factors._FactorMemo.cache_info().maxsize == 32
 
 
 def _grid_graph(rows, cols):
@@ -417,7 +444,7 @@ def test_enumeration_leaves_no_reference_cycle(g):
     gc.collect()
     gc.disable()
     try:
-        factors._enumerate_factors.__wrapped__(g)
+        factors._enumerate_factors(g)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -170,6 +170,51 @@ def test_parse_errors(text, fragment):
     assert fragment.lower() in str(err.value).lower()
 
 
+_OTHER = st.one_of(
+    st.sampled_from(["n", "e", "tail", "z", "+1", "-1", "1/0", "0/0", "3/-4",
+                     "-2/5", "1.5", "\u0663", "\uff12", "\u00b2",
+                     "12345678901234567890", "-99999999999999999999"]),
+    st.integers(-3, 8).map(str),
+    st.fractions(-9, 9, max_denominator=9).map(str))
+# Small vertex ids come often, so that lines often parse and the later
+# checks, up to the graph's own, are reached.
+_TOKENS = st.integers(1, 4).map(str) | _OTHER
+# One line: a directive with its own number of arguments, or any number
+# (an unknown directive "f" included), then a comment.
+_LINES = st.tuples(
+    st.one_of(st.tuples(st.just("e"), st.lists(_TOKENS, min_size=2, max_size=2)),
+              st.tuples(st.just("tail"), st.tuples(_TOKENS, _OTHER)),
+              st.tuples(st.just("z"),
+                        st.tuples(st.sampled_from(["+1", "-1", "1"]) | _TOKENS)),
+              st.tuples(st.sampled_from(["n", "e", "tail", "f"]),
+                        st.lists(_TOKENS, max_size=3))),
+    st.sampled_from(["", " # note", "#", "\t#e 1 2"]))
+
+
+def _parses_or_raises_graph_error(text):
+    try:
+        parse_instance(text)
+    except GraphError:
+        pass
+
+
+@given(st.sampled_from([None, "1", "3", "4", "4", "\u0663", "1/2",
+                        "12345678901234567890"]),
+       st.lists(_LINES, max_size=6), st.sampled_from([" ", "\t", "  "]))
+@settings(max_examples=400, deadline=None)
+def test_parse_instance_token_soup_raises_only_graph_errors(n, lines, space):
+    text = [] if n is None else [f"n{space}{n}"]
+    text += [space.join([directive, *args]) + comment
+             for (directive, args), comment in lines]
+    _parses_or_raises_graph_error("\n".join(text))
+
+
+@given(st.text(max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_parse_instance_arbitrary_text_raises_only_graph_errors(text):
+    _parses_or_raises_graph_error(text)
+
+
 def test_parse_dense_document_is_linear():
     # K120 has 7140 'e' lines; a parser that rescans the edges read so far
     # for each new line takes many seconds here.

@@ -6,10 +6,10 @@ from operator import add, sub
 import pytest
 
 from grwalk.catalog import analyze, standard_sweep
-from grwalk.graphs import (Graph, WalkInstance, bipartition, complete_graph,
-                           cycle_graph, enumerate_connected, path_graph,
-                           standard_instance)
-from grwalk.potential import (AuditReport, bipartite_route,
+from grwalk.graphs import (Graph, WalkInstance, _two_color, bipartition,
+                           complete_graph, cycle_graph, enumerate_connected,
+                           odd_cycle_witness, path_graph, standard_instance)
+from grwalk.potential import (AuditReport, _switching, bipartite_route,
                               incidence_nonoriented, incidence_oriented,
                               kirchhoff_audit, laplacian, nonbipartite_route,
                               signless_laplacian)
@@ -490,3 +490,53 @@ def test_rho_from_definition():
         sign = rat(1) if v in part.X else rat(-1)
         total += sign * inst.inflow[j]
     assert total / rat(inst.r) == rat(1, 2)
+
+
+def _reference_scans(g, first):
+    """The colouring conflict found by separate scans over g.edges, as
+    bipartition, odd_cycle_witness, _switching and the signless audit
+    each found it before _two_color returned it: (bipartition,
+    odd cycle, switching signs at z = -1, parity, constant-fixing edge)
+    for a boundary starting at ``first``."""
+    color, parent, order, _ = _two_color(g)
+    part = None
+    if all(color[u] != color[v] for u, v in g.edges):
+        part = (frozenset(v for v in color if color[v] == 0),
+                frozenset(v for v in color if color[v] == 1))
+    cycle = None
+    for u, v in g.edges:
+        if color[u] == color[v]:
+            path_u, path_v = [u], [v]
+            seen_u = {u: 0}
+            x = u
+            while parent[x] is not None:
+                x = parent[x]
+                seen_u[x] = len(path_u)
+                path_u.append(x)
+            x = v
+            while x not in seen_u:
+                x = parent[x]
+                path_v.append(x)
+            cycle = path_u[:seen_u[path_v[-1]] + 1] + path_v[-2::-1]
+            break
+    side = color[first]
+    signs = {v: -1 if color[v] != side else 1 for v in order}
+    edge = next((e for e in g.edges if color[e[0]] == color[e[1]]), None)
+    return part, cycle, signs, part is not None, edge
+
+
+def test_one_colouring_scan_equals_reference_scans():
+    # Every connected graph with n <= 6 (27475 graphs).
+    count = 0
+    for n in range(2, 7):
+        for g in enumerate_connected(n):
+            part, cycle, signs, bip, edge = _reference_scans(g, n)
+            got = bipartition(g)
+            assert (got and (got.X, got.Y)) == part, g.edges
+            assert odd_cycle_witness(g) == cycle, g.edges
+            for z in (-1, 1):
+                s, odd_edge, _, _ = _switching(WalkInstance(g, (n,), (1,), z))
+                assert s == (signs if z == -1 else dict.fromkeys(signs, 1))
+                assert (odd_edge is None) == bip and odd_edge == edge
+            count += 1
+    assert count == 27475

@@ -284,6 +284,16 @@ def test_scattering_rejects_wrong_unit_state_count():
             scattering(k4, unit_states=wrong)
 
 
+def test_outflow_rejects_wrong_inflow_length():
+    k4 = standard_instance(complete_graph(4), 1, 4)
+    psi = stationary_state(k4)
+    assert outflow(k4, psi, inflow=[1, 0]) == outflow(k4, psi)
+    for wrong, count in (([1, 0, 5], 3), ([1], 1), ([], 0)):
+        with pytest.raises(ValueError,
+                           match=f"{count} inflow values for 2 boundary"):
+            outflow(k4, psi, inflow=wrong)
+
+
 def _reference_unit_states(inst):
     """unit_stationary_states through the Fraction-Gram solver."""
     a = _fixed_point_matrix(inst)
