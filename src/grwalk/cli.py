@@ -21,10 +21,6 @@ def _fr(x):
     return format_rational(x)
 
 
-def _approx(x):
-    return float(x.numerator) / float(x.denominator)
-
-
 def _matrix_strs(m):
     return [[_fr(x) for x in row] for row in m.data]
 
@@ -71,7 +67,7 @@ def cmd_analyze(args):
                           if report.partition else None),
             "odd_cycle": list(report.odd_cycle) if report.odd_cycle else None,
             "psi": [{"origin": a[0], "terminus": a[1], "value": _fr(v),
-                     "approx": _approx(v)}
+                     "approx": float(v)}
                     for a, v in report.psi.items()],
             "energy": {r.name: (None if r.value is None else _fr(r.value))
                        for r in report.energy_routes},
@@ -101,11 +97,11 @@ def cmd_analyze(args):
         print(f"non-bipartite (odd cycle {list(report.odd_cycle)})")
     print("stationary state:")
     for a, v in report.psi.items():
-        print(f"  {a[0]}->{a[1]}  {_fr(v):>10s}  ({_approx(v):+.6f})")
+        print(f"  {a[0]}->{a[1]}  {_fr(v):>10s}  ({float(v):+.6f})")
     print("energy:")
     for r in report.energy_routes:
         val = "MISMATCH" if r.value is None else \
-            f"{_fr(r.value)} ({_approx(r.value):.6f})"
+            f"{_fr(r.value)} ({float(r.value):.6f})"
         print(f"  {r.name:22s} {val}")
     print("routes agree" if report.routes_agree else "ROUTE DISAGREEMENT")
     print(f"beta = ({', '.join(_fr(b) for b in report.beta)})")
@@ -151,7 +147,7 @@ def cmd_rank(args):
             "classes": [{"edge_count": r.edge_count,
                          "bipartite": r.bipartite,
                          "comfort": _fr(r.comfort),
-                         "approx": _approx(r.comfort),
+                         "approx": float(r.comfort),
                          "scattering": r.label,
                          "members": r.members,
                          "distances": sorted(r.distances),
@@ -162,7 +158,7 @@ def cmd_rank(args):
             "tie_groups": report.tie_groups,
             "class_maxima": [{"edge_count": m.edge_count,
                               "comfort": _fr(m.comfort),
-                              "approx": _approx(m.comfort),
+                              "approx": float(m.comfort),
                               "edges": [list(e) for e in m.representative.edges],
                               "boundary": list(m.argmax_pair)}
                              for m in report.class_maxima],
@@ -175,7 +171,7 @@ def cmd_rank(args):
           f"{'approx':>8s}  {'scat':>4s}  {'members':>7s}")
     for i, r in enumerate(report.rows, 1):
         print(f"{i:>2d}  {r.edge_count:>3d}  {'T' if r.bipartite else 'F':>3s}"
-              f"  {_fr(r.comfort):>8s}  {_approx(r.comfort):8.4f}"
+              f"  {_fr(r.comfort):>8s}  {float(r.comfort):8.4f}"
               f"  {r.label:>4s}  {r.members:>7d}")
     ranking = []
     for group in report.tie_groups:
@@ -184,7 +180,7 @@ def cmd_rank(args):
     print("per-shape maxima over boundary pairs:")
     for m in report.class_maxima:
         print(f"  |E|={m.edge_count}  edges={list(m.representative.edges)}  "
-              f"max comfort {_fr(m.comfort)} ({_approx(m.comfort):.4f}) "
+              f"max comfort {_fr(m.comfort)} ({float(m.comfort):.4f}) "
               f"at pair {m.argmax_pair}")
     return 0
 

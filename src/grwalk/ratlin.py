@@ -5,9 +5,9 @@ point appears only in the time-domain simulator.  Scalars are
 fractions.Fraction.  Eliminations clear denominators and run on Python
 ints: one integer kernel (denominator clearing, the Bareiss echelon and
 one back-substitution to integer vectors over a common denominator)
-serves rank, det, nullspace and the solvers.  The minimum-norm solve
-stays on ints from the echelon to its result and builds one Fraction per
-output entry; rat_dot sums products the same way.
+serves rank, det, nullspace and the solvers.  Every kernel vector and
+solution is checked on ints against the rows it was reduced from before
+one Fraction per entry is built; rat_dot sums products the same way.
 """
 from __future__ import annotations
 
@@ -62,12 +62,13 @@ class RatMatrix:
     2m-by-2m arc operators (42x42 for K7, up to 56x56 for 8-vertex
     graphs).  All eliminations share one fraction-free integer echelon:
     rank and det read its pivots, and the back-substitution turns it into
-    integer kernel vectors over one denominator, which nullspace returns
-    as Fractions.  A solve of ``self @ x = b`` reads its solutions off the
-    kernel of ``[self | -b]``; the minimum-norm solve projects them onto
-    the kernel's orthogonal complement in integers.  Pivoting picks the
-    first nonzero entry in column order; exact arithmetic needs no
-    numerical pivoting and this keeps results deterministic.
+    integer kernel vectors over one denominator, each checked against
+    the cleared rows.  A solve reads its solutions off the kernel of
+    ``[self | -b]``; the minimum-norm solve projects them onto the
+    kernel's orthogonal complement in integers and checks them against
+    ``[self | -B]`` and the kernel.  Pivoting picks the first nonzero
+    entry in column order; exact arithmetic needs no numerical pivoting
+    and this keeps results deterministic.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -185,12 +186,8 @@ class RatMatrix:
         return particulars
 
     def solve(self, b):
-        """Exact solution of ``self @ x = b``, residual-verified before return."""
-        x = self.solve_many([b])[0]
-        residual = self.mul_vec(x)
-        if any(r != bi for r, bi in zip(residual, b)):
-            raise RuntimeError("exact solver produced a nonzero residual")
-        return x
+        """Exact solution of ``self @ x = b``."""
+        return self.solve_many([b])[0]
 
     def nullspace(self):
         """A basis (list of column vectors) of the kernel of self.
@@ -198,8 +195,11 @@ class RatMatrix:
         One vector per free column of the echelon form: 1 at that column,
         0 at the other free columns, in increasing free-column order.
         """
-        rows, pivots, _, _ = _echelon(self.data)
+        rows, _ = _clear(self.data)
+        cleared = rows[:]
+        pivots, _ = _bareiss(rows)
         d, basis = _kernel(rows, pivots, self.cols)
+        _check_residual(cleared, basis)
         return [[rat(x, d) for x in vec] for vec in basis]
 
     def solve_min_norm_many(self, rhs_columns):
@@ -224,6 +224,7 @@ class RatMatrix:
                           for i, row in enumerate(self.data)])
         for row in rows:
             row[n:] = [-x for x in row[n:]]
+        cleared = rows[:]
         pivots, _ = _bareiss(rows)
         rank = sum(1 for p in pivots if p < n)
         if len(pivots) > rank:
@@ -231,22 +232,23 @@ class RatMatrix:
         d, vecs = _kernel(rows, pivots, n + k)
         # The free columns below n come first: kernel vectors of self,
         # each divided by its content (the projection ignores their
-        # scale); then one particular solution P_t / d per right-hand side.
+        # scale); then d (P_t / d, e_t) for each right-hand side t.
         basis = []
         for v in vecs[:n - rank]:
             g = gcd(*v)
             basis.append([x // g for x in v[:n]])
-        particulars = [v[:n] for v in vecs[n - rank:]]
-        if not basis:
-            return [[rat(x, d) for x in p] for p in particulars]
-        # x = P / d - sum_i c_i B_i with (B^T B) c = B^T P / d.
-        gram = [[0] * len(basis) for _ in basis]
-        for i, u in enumerate(basis):
-            for j in range(i, len(basis)):
-                gram[i][j] = gram[j][i] = sum(map(mul, u, basis[j]))
-        coeffs = RatMatrix(gram).solve_many(
-            [[rat(sum(map(mul, u, p)), d) for u in basis]
-             for p in particulars])
+        particulars = vecs[n - rank:]
+        coeffs = [[]] * k
+        if basis:
+            # x = P / d - sum_i c_i B_i with (B^T B) c = B^T P / d, kept
+            # as the kernel vector q (x, e_t) of [self | -B].
+            gram = [[0] * len(basis) for _ in basis]
+            for i, u in enumerate(basis):
+                for j in range(i, len(basis)):
+                    gram[i][j] = gram[j][i] = sum(map(mul, u, basis[j]))
+            coeffs = RatMatrix(gram).solve_many(
+                [[rat(sum(map(mul, u, p)), d) for u in basis]
+                 for p in particulars])
         solutions = []
         for p, c in zip(particulars, coeffs):
             q = lcm(d, *(ci.denominator for ci in c))
@@ -254,17 +256,11 @@ class RatMatrix:
             for ci, u in zip(c, basis):
                 if ci:
                     f = ci.numerator * (q // ci.denominator)
-                    x = [xi - f * ui for xi, ui in zip(x, u)]
-            solutions.append([rat(xi, q) for xi in x])
-        return solutions
-
-    def solve_min_norm(self, b):
-        """Minimum-norm solution of ``self @ x = b``, residual-verified."""
-        x = self.solve_min_norm_many([b])[0]
-        residual = self.mul_vec(x)
-        if any(r != bi for r, bi in zip(residual, b)):
-            raise RuntimeError("exact solver produced a nonzero residual")
-        return x
+                    x[:n] = [xi - f * ui for xi, ui in zip(x, u)]
+            solutions.append(x)
+        _check_residual(cleared + basis, solutions)
+        return [[rat(xi, x[n + t]) for xi in x[:n]]
+                for t, x in enumerate(solutions)]
 
 
 def rat_dot(u, v, divisor=1):
@@ -294,7 +290,9 @@ def _bareiss(rows):
     """Fraction-free row echelon form of integer rows, in place (Bareiss
     1968); the division by the previous pivot is exact.  Pivots are the
     first nonzero entry in column order (columns with none are skipped),
-    which keeps results deterministic.
+    which keeps results deterministic.  Rows are swapped and replaced in
+    the list, never edited, so a shallow copy of the list taken before
+    keeps the cleared rows.
 
     Returns (pivots, sign): the pivot column of each leading row and the
     sign of the row permutation.  The k-th pivot is the leading k-by-k
@@ -358,3 +356,12 @@ def _kernel(rows, pivots, cols):
             vec[pcol] = -sum(map(mul, tail, vec[pcol + 1:])) // p
         vectors.append(vec)
     return d, vectors
+
+
+def _check_residual(rows, vectors):
+    """Raise RuntimeError unless each integer row is orthogonal to each
+    vector (a shorter row reads its prefix): exact residuals, per entry."""
+    for vec in vectors:
+        for row in rows:
+            if sum(map(mul, row, vec)):
+                raise RuntimeError("exact solver produced a nonzero residual")

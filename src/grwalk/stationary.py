@@ -90,16 +90,6 @@ def source_vector(inst):
     return rho
 
 
-def _fixed_point_matrix(inst):
-    """I - E, formed in E's own rows: E has no diagonal entries, since
-    arc (u, t) is never the arc (x, u)."""
-    a = internal_operator(inst)
-    for i, row in enumerate(a.data):
-        row[:] = [-x if x else x for x in row]
-        row[i] = RAT_ONE
-    return a
-
-
 def stationary_state(inst, unit_states=None):
     """The exact stationary state psi on A0, via (I - E) psi = rho.
 
@@ -110,15 +100,12 @@ def stationary_state(inst, unit_states=None):
     source (no stationary state at all) raises SingularMatrixError,
     surfaced to the caller, never handled silently.
 
-    Given ``unit_states`` (from ``unit_stationary_states``), psi is built
-    as sum_k alpha_k psi_k without another reduction: rho is linear in
-    the inflow alpha and so is the minimum-norm solution.  It needs one
-    state per boundary vertex, or ValueError is raised.
+    psi = sum_k alpha_k psi_k over ``unit_stationary_states``: rho, and
+    so the minimum-norm solution, is linear in the inflow alpha.  Given
+    ``unit_states`` (one per boundary vertex, or ValueError), no solve runs.
     """
     if unit_states is None:
-        a = _fixed_point_matrix(inst)
-        psi = a.solve_min_norm(source_vector(inst))
-        return ArcField.from_vector(inst.graph, psi)
+        unit_states = unit_stationary_states(inst)
     _check_count(inst, unit_states, "unit states")
     return ArcField(inst.graph, {
         arc: rat_dot(inst.inflow, [state[arc] for state in unit_states])
@@ -206,12 +193,17 @@ class ScatteringReport:
 
 def unit_stationary_states(inst):
     """Stationary states for each standard-basis inflow, sharing one
-    matrix reduction; entry k is the state for inflow e_k."""
+    matrix reduction; entry k is the state for inflow e_k.  The system
+    is (E - I) psi_k = rho(-e_k), with the solutions and kernel of
+    (I - E) psi_k = rho(e_k), so E is used as built and only its zero
+    diagonal (arc (u, t) is never (x, u)) is written."""
     r = inst.r
-    a = _fixed_point_matrix(inst)
+    a = internal_operator(inst)
+    for i, row in enumerate(a.data):
+        row[i] = -RAT_ONE
     columns = []
     for k in range(r):
-        unit = [RAT_ONE if j == k else RAT_ZERO for j in range(r)]
+        unit = [-RAT_ONE if j == k else RAT_ZERO for j in range(r)]
         columns.append(source_vector(with_inflow(inst, unit)))
     return [ArcField.from_vector(inst.graph, sol)
             for sol in a.solve_min_norm_many(columns)]

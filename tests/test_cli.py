@@ -140,6 +140,22 @@ def test_json_and_human_rationals_match(c4_file, capsys):
     assert data["energy"]["direct"] == "19/16" and "19/16" in human
 
 
+def test_analyze_approximates_rationals_beyond_float_range(tmp_path, capsys):
+    # Numerator and denominator each overflow a float; their ratio does not.
+    big = 10 ** 400
+    path = tmp_path / "k3_big.gw"
+    path.write_text(f"n 3\ne 1 2\ne 2 3\ne 1 3\ntail 1 {big}/{big + 1}\n")
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "routes agree" in out and "(-0.500000)" in out
+    assert main(["analyze", str(path), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] and data["routes_agree"]
+    for entry in data["psi"]:
+        assert entry["approx"] == float(parse_rational(entry["value"]))
+        assert abs(entry["approx"]) == 0.5
+
+
 def test_analyze_with_simulation(k4_file, capsys):
     assert main(["analyze", k4_file, "--simulate", "300"]) == 0
     out = capsys.readouterr().out

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grwalk.ratlin as ratlin
 from grwalk.ratlin import (RatMatrix, SingularMatrixError, format_rational,
                            parse_rational, rat, rat_dot)
 
@@ -165,10 +166,10 @@ def test_min_norm_solution_is_kernel_orthogonal():
     # Singular but consistent: x + y = 2 has solution line; the
     # minimum-norm point is (1, 1).
     a = RatMatrix([[rat(1), rat(1)], [rat(1), rat(1)]])
-    x = a.solve_min_norm([rat(2), rat(2)])
+    x = a.solve_min_norm_many([[rat(2), rat(2)]])[0]
     assert x == [rat(1), rat(1)]
     with pytest.raises(SingularMatrixError):
-        a.solve_min_norm([rat(2), rat(3)])
+        a.solve_min_norm_many([[rat(2), rat(3)]])[0]
 
 
 @given(st.one_of(mat_strategy(3), low_rank_matrices()),
@@ -176,7 +177,7 @@ def test_min_norm_solution_is_kernel_orthogonal():
 @settings(max_examples=80)
 def test_min_norm_consistency(a, x):
     b = a.mul_vec(x[:a.cols])
-    y = a.solve_min_norm(b)
+    y = a.solve_min_norm_many([b])[0]
     # Must solve the system and be orthogonal to the kernel.
     assert a.mul_vec(y) == b
     for k in a.nullspace():
@@ -309,3 +310,68 @@ def test_rat_dot_is_one_exact_fraction():
     assert type(rat_dot([2], [3])) is Fraction
     assert rat_dot(u, v, 6) == got / 6 and type(rat_dot(u, v, 6)) is Fraction
     assert rat_dot([rat(1, 2)], [rat(1, 2)], 2) == rat(1, 8)
+
+
+def corrupt_first_kernel_vector(monkeypatch):
+    """Make ratlin._kernel return its first vector with entry 0 off by one."""
+    kernel = ratlin._kernel
+
+    def corrupted(rows, pivots, cols):
+        d, vectors = kernel(rows, pivots, cols)
+        if vectors:
+            vectors[0][0] += 1
+        return d, vectors
+
+    monkeypatch.setattr(ratlin, "_kernel", corrupted)
+
+
+def corrupt_first_reduced_row(monkeypatch):
+    """Make ratlin._bareiss replace its first row by one whose last entry
+    is off by one, as a faulty reduction would."""
+    bareiss = ratlin._bareiss
+
+    def corrupted(rows):
+        result = bareiss(rows)
+        rows[0] = rows[0][:-1] + [rows[0][-1] + 1]
+        return result
+
+    monkeypatch.setattr(ratlin, "_bareiss", corrupted)
+
+
+SINGULAR = RatMatrix([[rat(1), rat(1)], [rat(1), rat(1)]])
+REGULAR = RatMatrix([[rat(2), rat(1)], [rat(1, 3), rat(3)]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: REGULAR.solve([rat(1), rat(2)]),
+    lambda: REGULAR.solve_many([[rat(1), rat(2)], [rat(0), rat(1)]]),
+    lambda: SINGULAR.nullspace(),
+    lambda: REGULAR.solve_min_norm_many([[rat(1), rat(2)]]),
+    lambda: SINGULAR.solve_min_norm_many([[rat(2), rat(2)]]),
+], ids=["solve", "solve_many", "nullspace", "solve_min_norm_many",
+        "solve_min_norm_many_singular"])
+@pytest.mark.parametrize("corrupt", [corrupt_first_kernel_vector,
+                                     corrupt_first_reduced_row])
+def test_corrupted_elimination_is_caught(call, corrupt, monkeypatch):
+    # The check reads the cleared rows, not the reduced ones, so a faulty
+    # reduction is caught as well as a faulty back-substitution.
+    call()
+    corrupt(monkeypatch)
+    with pytest.raises(RuntimeError, match="nonzero residual"):
+        call()
+
+
+def zero_gram_coefficients(monkeypatch):
+    """Make solve_many, which min-norm solves call only for the Gram
+    system, return zero coefficients: the result then still solves the
+    system but is not projected off the kernel."""
+    monkeypatch.setattr(RatMatrix, "solve_many", lambda self, rhs_columns:
+                        [[rat(0)] * self.cols for _ in rhs_columns])
+
+
+def test_unprojected_min_norm_solution_is_caught(monkeypatch):
+    b = [rat(2), rat(2)]
+    assert SINGULAR.solve_min_norm_many([b]) == [[rat(1), rat(1)]]
+    zero_gram_coefficients(monkeypatch)
+    with pytest.raises(RuntimeError, match="nonzero residual"):
+        SINGULAR.solve_min_norm_many([b])

@@ -4,16 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_ratlin import _reference_solve_min_norm_many
+from test_ratlin import (_reference_solve_min_norm_many,
+                         corrupt_first_kernel_vector, zero_gram_coefficients)
+from test_simulate import _grid_graph, _petersen_graph
 
 from grwalk.catalog import standard_sweep
 from grwalk.graphs import (Graph, WalkInstance, bipartition, complete_graph,
                            cycle_graph, enumerate_connected, path_graph,
                            standard_instance, star_graph)
 from grwalk.ratlin import RatMatrix, rat
-from grwalk.stationary import (ArcField, _fixed_point_matrix, coin_sign,
-                               comfortability_direct, internal_operator,
-                               outflow, predicted_scattering, scattering,
+from grwalk.stationary import (ArcField, coin_sign, comfortability_direct,
+                               internal_operator, outflow,
+                               predicted_scattering, scattering,
                                source_vector, stationary_state,
                                unit_stationary_states, with_inflow)
 
@@ -119,7 +121,7 @@ def test_stationary_state_from_unit_states_is_identical():
     for inst in cases:
         states = unit_stationary_states(inst)
         assert stationary_state(inst, unit_states=states) == \
-            stationary_state(inst)
+            _reference_stationary_state(inst)
 
 
 def test_outflow_examples():
@@ -294,9 +296,28 @@ def test_outflow_rejects_wrong_inflow_length():
             outflow(k4, psi, inflow=wrong)
 
 
+def _reference_fixed_point_matrix(inst):
+    """I - E, formed in E's own rows (E has no diagonal entries)."""
+    a = internal_operator(inst)
+    for i, row in enumerate(a.data):
+        row[:] = [-x if x else x for x in row]
+        row[i] = rat(1)
+    return a
+
+
+def _reference_stationary_state(inst):
+    """stationary_state's former direct path: one right-hand side on
+    I - E, residual-checked in Fractions."""
+    a = _reference_fixed_point_matrix(inst)
+    rho = source_vector(inst)
+    psi = a.solve_min_norm_many([rho])[0]
+    assert a.mul_vec(psi) == rho
+    return ArcField.from_vector(inst.graph, psi)
+
+
 def _reference_unit_states(inst):
-    """unit_stationary_states through the Fraction-Gram solver."""
-    a = _fixed_point_matrix(inst)
+    """unit_stationary_states through the Fraction-Gram solver on I - E."""
+    a = _reference_fixed_point_matrix(inst)
     columns = [source_vector(with_inflow(inst, [rat(int(j == k))
                                                 for j in range(inst.r)]))
                for k in range(inst.r)]
@@ -363,3 +384,63 @@ def test_exact_sums_equal_fraction_reference_on_random_instances(z):
                        for _ in boundary)
         _assert_exact_sums_match_reference(
             WalkInstance(g, boundary, inflow, z))
+
+
+@pytest.mark.parametrize("z", [-1, 1])
+def test_stationary_state_equals_direct_reference(z):
+    # Every connected graph with n <= 4, random boundaries and rational
+    # inflows (some zero), then the larger named instances.
+    rng = random.Random(40 + z)
+    cases = []
+    for n in range(2, 5):
+        for g in enumerate_connected(n):
+            boundary = tuple(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            inflow = tuple(rat(rng.randint(-4, 4), rng.randint(1, 5))
+                           for _ in boundary)
+            cases.append(WalkInstance(g, boundary, inflow, z))
+    assert len(cases) == 1 + 4 + 38
+    cases += [standard_instance(_petersen_graph(), 1, 10, z),
+              standard_instance(_grid_graph(3, 4), 1, 12, z),
+              WalkInstance(_grid_graph(4, 4), (1, 16, 4),
+                           (rat(1, 2), rat(-1, 3), rat(2)), z)]
+    for inst in cases:
+        psi = stationary_state(inst)
+        assert psi == _reference_stationary_state(inst)
+        assert all(type(x) is Fraction for x in psi.values.values())
+
+
+def test_confined_state_count_is_the_cycle_rank():
+    # dim ker(I - E) = b1 = m - n + 1 at z = +1, one less at z = -1 on a
+    # non-bipartite graph: every connected graph with n <= 5.
+    rng = random.Random(4)
+    cases = 0
+    for n in range(2, 6):
+        for g in enumerate_connected(n):
+            b1 = g.m - n + 1
+            boundary = tuple(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            for z in (-1, 1):
+                inst = WalkInstance(g, boundary, (rat(1),) * len(boundary), z)
+                dim = 2 * g.m - _reference_fixed_point_matrix(inst).rank()
+                odd = z == -1 and bipartition(g) is None
+                assert dim == b1 - odd
+                cases += 1
+    assert cases == 1542
+
+
+@pytest.mark.parametrize("solve", [unit_stationary_states, stationary_state])
+def test_stationary_solves_catch_a_corrupted_kernel_vector(solve,
+                                                           monkeypatch):
+    inst = standard_instance(complete_graph(4), 1, 4)
+    solve(inst)
+    corrupt_first_kernel_vector(monkeypatch)
+    with pytest.raises(RuntimeError, match="nonzero residual"):
+        solve(inst)
+
+
+def test_stationary_state_catches_an_unprojected_solution(monkeypatch):
+    # C4 at z = -1 has one confined state, so the solve needs the Gram step.
+    inst = standard_instance(cycle_graph(4), 1, 4)
+    assert comfortability_direct(stationary_state(inst)) == rat(19, 16)
+    zero_gram_coefficients(monkeypatch)
+    with pytest.raises(RuntimeError, match="nonzero residual"):
+        stationary_state(inst)
