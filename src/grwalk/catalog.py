@@ -19,8 +19,9 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .factors import FactorMismatchError, closed_form_comfort, factor_counts, \
-    odd_unicyclic_sums, spanning_tree_count, two_forest_count
+from .factors import FactorMismatchError, closed_form_comfort, \
+    cycle_incidence_check, factor_counts, odd_unicyclic_sums, \
+    spanning_tree_count, two_forest_count
 from .graphs import _pair_bits, _relabelled_masks, bipartition, \
     canonical_form, enumerate_connected, odd_cycle_witness, \
     standard_instance, vertex_pairs
@@ -353,7 +354,6 @@ def _suite_factor_oracles(_sweep, n_max=5):
 
 
 def _suite_incidence(_sweep):
-    from .factors import cycle_incidence_check
     ok = all(abs(cycle_incidence_check(L)) == 2 for L in range(3, 10, 2)) and \
         all(cycle_incidence_check(L) == 0 for L in range(4, 9, 2))
     return ok, "odd cycles give +-2, even cycles give 0"

@@ -16,9 +16,7 @@ from .simulate import contraction_rate, simulate, write_trace_csv
 from .stationary import stationary_state
 
 
-def _fr(x):
-    """Rational as exact-fraction string."""
-    return format_rational(x)
+_fr = format_rational          # a rational as an exact-fraction string
 
 
 def _matrix_strs(m):
@@ -48,6 +46,12 @@ def _instance_dict(inst):
             "z": inst.phase}
 
 
+def _out_of_float_range(path, exc):
+    print(f"error: {path}: a value is outside the float range ({exc})",
+          file=sys.stderr)
+    return 2
+
+
 def cmd_analyze(args):
     inst = _load_instance(args.file)
     if args.simulate is not None and args.simulate < 1:
@@ -55,83 +59,95 @@ def cmd_analyze(args):
         return 2
     try:
         report = analyze(inst, simulate_steps=args.simulate)
+        # Rendered in full before printing, so that a value outside the
+        # float range prints nothing but the error.
+        text = (json.dumps(_analysis_payload(inst, report), indent=2)
+                if args.json else _analysis_text(inst, report))
     except SingularMatrixError as exc:
         print(f"error: stationary solve failed: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        payload = {
-            "instance": _instance_dict(inst),
-            "bipartite": report.bipartite,
-            "partition": ({"X": sorted(report.partition.X),
-                           "Y": sorted(report.partition.Y)}
-                          if report.partition else None),
-            "odd_cycle": list(report.odd_cycle) if report.odd_cycle else None,
-            "psi": [{"origin": a[0], "terminus": a[1], "value": _fr(v),
-                     "approx": float(v)}
-                    for a, v in report.psi.items()],
-            "energy": {r.name: (None if r.value is None else _fr(r.value))
-                       for r in report.energy_routes},
-            "routes_agree": report.routes_agree,
-            "beta": [_fr(b) for b in report.beta],
-            "sigma": _matrix_strs(report.sigma),
-            "classification": report.classification,
-            "scattering_ok": report.scattering_ok,
-            "audit_ok": report.audit.ok,
-            "factors": (None if report.factors is None else {
-                "chi1": report.factors.chi1, "chi2": report.factors.chi2,
-                "iota1": report.factors.iota1, "iota2": report.factors.iota2,
-                "edge_count": report.factors.edge_count}),
-            "simulation": report.simulation,
-            "ok": report.ok,
-        }
-        print(json.dumps(payload, indent=2))
-        return 0 if report.ok else 1
+    except OverflowError as exc:
+        return _out_of_float_range(args.file, exc)
+    print(text)
+    return 0 if report.ok else 1
+
+
+def _analysis_payload(inst, report):
+    return {
+        "instance": _instance_dict(inst),
+        "bipartite": report.bipartite,
+        "partition": ({"X": sorted(report.partition.X),
+                       "Y": sorted(report.partition.Y)}
+                      if report.partition else None),
+        "odd_cycle": list(report.odd_cycle) if report.odd_cycle else None,
+        "psi": [{"origin": a[0], "terminus": a[1], "value": _fr(v),
+                 "approx": float(v)}
+                for a, v in report.psi.items()],
+        "energy": {r.name: (None if r.value is None else _fr(r.value))
+                   for r in report.energy_routes},
+        "routes_agree": report.routes_agree,
+        "beta": [_fr(b) for b in report.beta],
+        "sigma": _matrix_strs(report.sigma),
+        "classification": report.classification,
+        "scattering_ok": report.scattering_ok,
+        "audit_ok": report.audit.ok,
+        "factors": (None if report.factors is None else {
+            "chi1": report.factors.chi1, "chi2": report.factors.chi2,
+            "iota1": report.factors.iota1, "iota2": report.factors.iota2,
+            "edge_count": report.factors.edge_count}),
+        "simulation": report.simulation,
+        "ok": report.ok,
+    }
+
+
+def _analysis_text(inst, report):
+    out = []
     g = inst.graph
-    print(f"instance: n={g.n}, edges={list(g.edges)}")
-    print(f"tails at {list(inst.boundary)}, inflow "
-          f"({', '.join(_fr(a) for a in inst.inflow)}), z={inst.phase:+d}")
+    out.append(f"instance: n={g.n}, edges={list(g.edges)}")
+    out.append(f"tails at {list(inst.boundary)}, inflow "
+               f"({', '.join(map(_fr, inst.inflow))}), z={inst.phase:+d}")
     if report.bipartite:
-        print(f"bipartite: X={sorted(report.partition.X)} "
-              f"Y={sorted(report.partition.Y)}")
+        out.append(f"bipartite: X={sorted(report.partition.X)} "
+                   f"Y={sorted(report.partition.Y)}")
     else:
-        print(f"non-bipartite (odd cycle {list(report.odd_cycle)})")
-    print("stationary state:")
+        out.append(f"non-bipartite (odd cycle {list(report.odd_cycle)})")
+    out.append("stationary state:")
     for a, v in report.psi.items():
-        print(f"  {a[0]}->{a[1]}  {_fr(v):>10s}  ({float(v):+.6f})")
-    print("energy:")
+        out.append(f"  {a[0]}->{a[1]}  {_fr(v):>10s}  ({float(v):+.6f})")
+    out.append("energy:")
     for r in report.energy_routes:
         val = "MISMATCH" if r.value is None else \
             f"{_fr(r.value)} ({float(r.value):.6f})"
-        print(f"  {r.name:22s} {val}")
-    print("routes agree" if report.routes_agree else "ROUTE DISAGREEMENT")
-    print(f"beta = ({', '.join(_fr(b) for b in report.beta)})")
-    print("sigma =")
+        out.append(f"  {r.name:22s} {val}")
+    out.append("routes agree" if report.routes_agree else "ROUTE DISAGREEMENT")
+    out.append(f"beta = ({', '.join(_fr(b) for b in report.beta)})")
+    out.append("sigma =")
     for row in _matrix_strs(report.sigma):
-        print("  [" + "  ".join(f"{x:>5s}" for x in row) + "]")
-    print(f"scattering class: {report.classification}")
+        out.append("  [" + "  ".join(f"{x:>5s}" for x in row) + "]")
+    out.append(f"scattering class: {report.classification}")
     if not report.scattering_ok:
-        print("SCATTERING MISMATCH: sigma is not the orthogonal matrix "
-              "the surface theorem predicts")
+        out.append("SCATTERING MISMATCH: sigma is not the orthogonal matrix "
+                   "the surface theorem predicts")
     if report.audit.ok:
-        print("Kirchhoff audit: all laws hold")
+        out.append("Kirchhoff audit: all laws hold")
     else:
         names = ", ".join(c.name for c in report.audit.failures())
-        print(f"Kirchhoff audit FAILED: {names}")
+        out.append(f"Kirchhoff audit FAILED: {names}")
     if report.factors is not None:
         f = report.factors
-        print(f"factors: chi1={f.chi1} chi2={f.chi2} "
-              f"iota1={f.iota1} iota2={f.iota2}")
+        out.append(f"factors: chi1={f.chi1} chi2={f.chi2} "
+                   f"iota1={f.iota1} iota2={f.iota2}")
     if report.simulation is not None:
         s = report.simulation
         status = (f"not converged in {s['steps']} steps"
                   if s["converged_at"] is None
                   else f"converged at step {s['converged_at']}")
-        print(f"simulation: {status} (predicted {s['predicted_steps']} "
-              f"steps to residual 1e-10), final residual "
-              f"{s['final_residual']:.3e}, distance to exact "
-              f"{s['distance_to_exact']:.3e}, contraction rate "
-              f"{s['contraction_rate']:.4f}")
-    return 0 if report.ok else 1
+        out.append(f"simulation: {status} (predicted {s['predicted_steps']} "
+                   f"steps to residual 1e-10), final residual "
+                   f"{s['final_residual']:.3e}, distance to exact "
+                   f"{s['distance_to_exact']:.3e}, contraction rate "
+                   f"{s['contraction_rate']:.4f}")
+    return "\n".join(out)
 
 
 def cmd_rank(args):
@@ -203,8 +219,14 @@ def cmd_simulate(args):
     except OSError as exc:
         return _cannot_write(args.out, exc)
     exact = stationary_state(inst)
-    trace = simulate(inst, args.steps, exact=exact,
-                     residual_stop=args.residual_stop)
+    try:
+        trace = simulate(inst, args.steps, exact=exact,
+                         residual_stop=args.residual_stop)
+        rate, predicted = contraction_rate(inst, args.residual_stop)
+    except OverflowError as exc:
+        if out:
+            out.close()
+        return _out_of_float_range(args.file, exc)
     if out:
         try:
             with out:
@@ -218,7 +240,6 @@ def cmd_simulate(args):
     print(f"final residual: {trace.residuals[-1]:.6e}")
     print(f"sup-norm distance to exact stationary state: "
           f"{trace.final_distance:.6e}")
-    rate, predicted = contraction_rate(inst, args.residual_stop)
     if predicted is None:
         prediction = (f"no early stop at residual threshold "
                       f"{args.residual_stop:g}")

@@ -3,14 +3,22 @@
 Vertices are labeled 1..n in all public interfaces.  Each undirected edge
 {u, v} induces the two symmetric arcs (u, v) and (v, u); arc tuples are
 (origin, terminus).
+
+Everything worked out from a graph alone lives here too: its 2-colouring
+(bipartition and odd-cycle witness), its L_z = D - zM and incidence
+matrices, and its factor enumeration.  One memo per graph, bounded to the
+32 most recently used graphs, colours, enumerates and builds each L_z at
+most once, so every module above reads these facts from one place.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 
-from .ratlin import parse_rational, rat
+from .ratlin import RAT_ONE, RatMatrix, parse_rational, rat
 
 
 class GraphError(ValueError):
@@ -178,11 +186,11 @@ class Bipartition:
 def _two_color(g):
     """Breadth-first 2-colouring from vertex 1 (colour 0).
 
-    Returns (color, parent, order, odd_edge): the colours, the spanning
-    tree's parent links (None at the root), the visiting order, in which
-    every vertex comes after its parent, and the first edge of g.edges
-    whose ends share a colour.  odd_edge is None exactly when g is
-    bipartite; otherwise its tree paths close an odd cycle.
+    Returns (color, parent, order, odd_edge), all read-only: the colours,
+    the spanning tree's parent links (None at the root), the visiting
+    order, in which every vertex comes after its parent, and the first
+    edge of g.edges whose ends share a colour.  odd_edge is None exactly
+    when g is bipartite; otherwise its tree paths close an odd cycle.
     """
     color = {1: 0}
     parent = {1: None}
@@ -197,17 +205,13 @@ def _two_color(g):
                 parent[w] = u
                 queue.append(w)
     odd_edge = next((e for e in g.edges if color[e[0]] == color[e[1]]), None)
-    return color, parent, order, odd_edge
+    return (MappingProxyType(color), MappingProxyType(parent), tuple(order),
+            odd_edge)
 
 
 def bipartition(g):
     """The bipartition of g (vertex 1 in X), or None if g has an odd cycle."""
-    color, _, _, odd_edge = _two_color(g)
-    if odd_edge is not None:
-        return None
-    X = frozenset(v for v in color if color[v] == 0)
-    Y = frozenset(v for v in color if color[v] == 1)
-    return Bipartition(X, Y)
+    return _GraphMemo(g).partition
 
 
 def odd_cycle_witness(g):
@@ -216,7 +220,7 @@ def odd_cycle_witness(g):
     Found from the first 2-coloring conflict of a breadth-first search;
     only existence matters downstream, so any valid odd cycle suffices.
     """
-    _, parent, _, odd_edge = _two_color(g)
+    _, parent, _, odd_edge = _GraphMemo(g).coloring
     if odd_edge is None:
         return None
     u, v = odd_edge
@@ -233,6 +237,223 @@ def odd_cycle_witness(g):
         path_v.append(x)
     lca = path_v[-1]
     return path_u[:seen_u[lca] + 1] + path_v[-2::-1]
+
+
+def _l_z(g, z):
+    """L_z = D - zM; tails excluded."""
+    off = rat(-z)
+    m = RatMatrix.zeros(g.n, g.n)
+    for u, v in g.edges:
+        m.data[u - 1][v - 1] = m.data[v - 1][u - 1] = off
+    for v in range(1, g.n + 1):
+        m.data[v - 1][v - 1] = rat(g.degree(v))
+    return m
+
+
+def laplacian(g):
+    """L = L_{+1} = D - M, positive semidefinite; grounded minors' dets
+    count spanning trees."""
+    return _l_z(g, 1)
+
+
+def signless_laplacian(g):
+    """Q = L_{-1} = D + M; nonsingular exactly when g is connected
+    non-bipartite."""
+    return _l_z(g, -1)
+
+
+def incidence_oriented(g):
+    """n x |E| oriented incidence matrix: +1 at the terminus (larger
+    endpoint), -1 at the origin, per the fixed u -> v (u < v) orientation."""
+    b = RatMatrix.zeros(g.n, g.m)
+    for col, (u, v) in enumerate(g.edges):
+        b.data[u - 1][col] = rat(-1)
+        b.data[v - 1][col] = RAT_ONE
+    return b
+
+
+def incidence_nonoriented(g):
+    """n x |E| non-oriented incidence matrix: +1 at both endpoints."""
+    b = RatMatrix.zeros(g.n, g.m)
+    for col, (u, v) in enumerate(g.edges):
+        b.data[u - 1][col] = RAT_ONE
+        b.data[v - 1][col] = RAT_ONE
+    return b
+
+
+def _enumerate_factors(g):
+    """Count every member of the four factor families in one pruned search.
+
+    Returns (tree count, {(u, v): two-forest count}, (iota1, its omega
+    histogram), {v: (iota2, omega histogram)}); omega is the component
+    count and histogram keys ascend.
+
+    A depth-first search over edges in index order adds edges to a
+    union-find that tracks each vertex's parity relative to its root
+    (union by size, no path compression, undone on backtrack) and whether
+    each component holds a cycle.  It rejects an edge that would close an
+    even cycle or a second cycle in one component.  Adding edges never
+    removes a cycle, so no superset of a rejected subset is a member of
+    any family: every accepted subset is a pseudo-forest whose cycles are
+    all odd, and each of them is visited exactly once.  Such a subset of
+    k edges has exactly n - k tree components, so its size and omega say
+    which family it belongs to:
+
+    * k = n - 2, omega = 2: a two-forest, tallied under the vertex set of
+      the part that holds vertex 1;
+    * k = n - 1: one tree plus omega - 1 odd-unicyclic components,
+      weight 4^(omega - 1), tallied under the tree's vertex set (omega = 1
+      is a spanning tree);
+    * k = n: omega odd-unicyclic components, weight 4^omega.
+
+    The vertex-set tallies are expanded to vertex pairs and vertices at
+    the end.  The search visits every factor explicitly and never forms a
+    matrix, so it stays an oracle independent of the determinants.
+    """
+    n, edges = g.n, g.edges
+    m = len(edges)
+    full = (1 << (n + 1)) - 2                  # bit v marks vertex v
+    parent = list(range(n + 1))
+    parity = [0] * (n + 1)
+    size = [1] * (n + 1)
+    members = [1 << v for v in range(n + 1)]
+    cyclic = [False] * (n + 1)
+    forests = {}          # vertex set of vertex 1's part -> two-forests
+    tree_parts = {}       # (tree vertex set, omega) -> factors of n-1 edges
+    odd = {}              # omega -> all-odd-unicyclic factors
+
+    def find(x):
+        p = 0
+        while parent[x] != x:
+            p ^= parity[x]
+            x = parent[x]
+        return x, p
+
+    def visit(start, k, omega, trees):
+        # trees: the union of the vertex sets of the tree components.
+        if k == n - 2:
+            if omega == 2:
+                part = members[find(1)[0]]
+                forests[part] = forests.get(part, 0) + 1
+        elif k == n - 1:
+            key = (trees, omega)
+            tree_parts[key] = tree_parts.get(key, 0) + 1
+        elif k == n:
+            odd[omega] = odd.get(omega, 0) + 1
+            return
+        # Stop where the remaining edges can no longer reach n - 2.
+        for j in range(start, min(m, m + k + 3 - n)):
+            ru, pu = find(edges[j][0])
+            rv, pv = find(edges[j][1])
+            if ru == rv:
+                # The tree path u..v has parity pu ^ pv, so the closed
+                # cycle is odd exactly when pu == pv.
+                if cyclic[ru] or pu != pv:
+                    continue
+                cyclic[ru] = True
+                visit(j + 1, k + 1, omega, trees & ~members[ru])
+                cyclic[ru] = False
+                continue
+            if cyclic[ru] and cyclic[rv]:        # two cycles in one part
+                continue
+            if size[ru] < size[rv]:
+                ru, rv = rv, ru
+            was_cyclic = cyclic[ru]
+            if was_cyclic:
+                merged_trees = trees & ~members[rv]
+            elif cyclic[rv]:
+                merged_trees = trees & ~members[ru]
+            else:
+                merged_trees = trees
+            parent[rv] = ru
+            parity[rv] = pu ^ pv ^ 1
+            size[ru] += size[rv]
+            members[ru] |= members[rv]
+            cyclic[ru] = was_cyclic or cyclic[rv]
+            visit(j + 1, k + 1, omega - 1, merged_trees)
+            parent[rv] = rv                      # a root's parity is unread
+            size[ru] -= size[rv]
+            members[ru] ^= members[rv]
+            cyclic[ru] = was_cyclic
+
+    try:
+        visit(0, 0, n, full)
+    finally:
+        del visit          # the closure holds itself through its cell
+
+    def vertices(mask):
+        return [v for v in range(1, n + 1) if mask >> v & 1]
+
+    two_forests = {}
+    for part, count in forests.items():
+        outside = vertices(full & ~part)
+        for u in vertices(part):
+            for v in outside:
+                key = (u, v) if u < v else (v, u)
+                two_forests[key] = two_forests.get(key, 0) + count
+    iota2 = {v: 0 for v in range(1, n + 1)}
+    hist2 = {v: {} for v in range(1, n + 1)}
+    for (part, omega), count in sorted(tree_parts.items(),
+                                       key=lambda item: item[0][1]):
+        for v in vertices(part):
+            iota2[v] += count * 4 ** (omega - 1)
+            hist2[v][omega] = hist2[v].get(omega, 0) + count
+    iota1 = sum(count * 4 ** omega for omega, count in odd.items())
+    return (tree_parts.get((full, 1), 0), two_forests,
+            (iota1, dict(sorted(odd.items()))),
+            {v: (iota2[v], hist2[v]) for v in range(1, n + 1)})
+
+
+# _GraphMemo(g) is g's memo while g is among the 32 most recently used
+# graphs; _GraphMemo.__wrapped__(g) builds a fresh one.
+@functools.lru_cache(maxsize=32)
+class _GraphMemo:
+    """What one graph alone determines: its 2-colouring and bipartition,
+    its factor enumeration, and the principal minors of its L_z = D - zM
+    (the Laplacian at z = 1, the signless Laplacian at z = -1) with their
+    determinants.
+
+    Each is worked out on first use, at most once (determinants keyed by z
+    and the sorted dropped vertices).  The colouring is read-only, the
+    matrices leave only as fresh minors and ``factors`` copies what it
+    returns of the enumeration: no caller can change a memoised value.
+    """
+
+    def __init__(self, g):
+        self.graph = g
+        self.matrices = {}
+        self.dets = {}
+
+    @functools.cached_property
+    def coloring(self):
+        return _two_color(self.graph)
+
+    @functools.cached_property
+    def partition(self):
+        color, _, _, odd_edge = self.coloring
+        if odd_edge is not None:
+            return None
+        return Bipartition(frozenset(v for v in color if color[v] == 0),
+                           frozenset(v for v in color if color[v] == 1))
+
+    @functools.cached_property
+    def enumeration(self):
+        return _enumerate_factors(self.graph)
+
+    def minor(self, z, dropped=()):
+        """A fresh copy of L_z without the rows and columns of ``dropped``."""
+        mat = self.matrices.get(z)
+        if mat is None:
+            build = laplacian if z == 1 else signless_laplacian
+            mat = self.matrices[z] = build(self.graph)
+        index = [v - 1 for v in dropped]
+        return mat.minor(index, index)
+
+    def det(self, z, dropped):
+        key = (z, dropped)
+        if key not in self.dets:
+            self.dets[key] = self.minor(z, dropped).det()
+        return self.dets[key]
 
 
 def enumerate_connected(n):

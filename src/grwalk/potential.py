@@ -14,6 +14,9 @@ and on every instance, any boundary and inflow,
 
 with energy z sum_j phi(v_j) (alpha_j - rho s(v_j)) + rho^2 |E|.
 
+Both read the colouring and take fresh L_z minors from the per-graph
+memo of ``graphs``; the matrix builders live there, re-exported here.
+
 The audit solves nothing: a state obeys the (pseudo-)voltage law exactly
 when it comes from such a potential, which is read off the state along
 one breadth-first spanning tree in O(m) and then tested on every edge.
@@ -23,51 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import add, sub
 
-from .graphs import _two_color
-from .ratlin import RAT_ONE, RAT_ZERO, RatMatrix, rat
+from .graphs import (_GraphMemo, incidence_nonoriented, incidence_oriented,
+                     laplacian, signless_laplacian)
+from .ratlin import RAT_ZERO, rat
 from .stationary import ArcField, outflow
-
-
-def _l_z(g, z):
-    """L_z = D - zM; tails excluded."""
-    off = rat(-z)
-    m = RatMatrix.zeros(g.n, g.n)
-    for u, v in g.edges:
-        m.data[u - 1][v - 1] = m.data[v - 1][u - 1] = off
-    for v in range(1, g.n + 1):
-        m.data[v - 1][v - 1] = rat(g.degree(v))
-    return m
-
-
-def laplacian(g):
-    """L = L_{+1} = D - M, positive semidefinite; grounded minors' dets
-    count spanning trees."""
-    return _l_z(g, 1)
-
-
-def signless_laplacian(g):
-    """Q = L_{-1} = D + M; nonsingular exactly when g is connected
-    non-bipartite."""
-    return _l_z(g, -1)
-
-
-def incidence_oriented(g):
-    """n x |E| oriented incidence matrix: +1 at the terminus (larger
-    endpoint), -1 at the origin, per the fixed u -> v (u < v) orientation."""
-    b = RatMatrix.zeros(g.n, g.m)
-    for col, (u, v) in enumerate(g.edges):
-        b.data[u - 1][col] = rat(-1)
-        b.data[v - 1][col] = RAT_ONE
-    return b
-
-
-def incidence_nonoriented(g):
-    """n x |E| non-oriented incidence matrix: +1 at both endpoints."""
-    b = RatMatrix.zeros(g.n, g.m)
-    for col, (u, v) in enumerate(g.edges):
-        b.data[u - 1][col] = RAT_ONE
-        b.data[v - 1][col] = RAT_ONE
-    return b
 
 
 @dataclass(frozen=True)
@@ -102,7 +64,7 @@ def _switching(inst):
     returns them (odd_edge is None exactly for a bipartite graph).  At
     z = -1, s(v) = -1 on the colour class without boundary[0] and 1 on
     the other; at z = +1, s = 1 everywhere."""
-    color, parent, order, odd_edge = _two_color(inst.graph)
+    color, parent, order, odd_edge = _GraphMemo(inst.graph).coloring
     side = color[inst.boundary[0]]
     s = {v: -1 if inst.phase == -1 and color[v] != side else 1 for v in order}
     return s, odd_edge, parent, order
@@ -130,12 +92,11 @@ def _poisson_route(inst, s, signless):
     g, z = inst.graph, inst.phase
     alpha = dict(zip(inst.boundary, inst.inflow))
     rho, ground = RAT_ZERO, None
-    lz = (laplacian if z == 1 else signless_laplacian)(g)
     if not signless:
         rho = sum((_signed(s[v], a) for v, a in alpha.items()),
                   RAT_ZERO) / inst.r
         ground = inst.boundary[-1]
-        lz = lz.minor([ground - 1], [ground - 1])
+    lz = _GraphMemo(g).minor(z, (ground,) if ground else ())
     srho = {v: _signed(s[v], rho) for v in s}
     keep = [v for v in range(1, g.n + 1) if v != ground]
     sol = lz.solve([_signed(z, alpha[v] - srho[v]) if v in alpha

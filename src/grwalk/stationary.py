@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import bipartition
+from .graphs import WalkInstance, bipartition
 from .ratlin import RAT_ONE, RAT_ZERO, RatMatrix, rat, rat_dot
 
 
@@ -238,5 +238,4 @@ def scattering(inst, unit_states=None):
 
 def with_inflow(inst, inflow):
     """The same tailed graph with a different inflow vector."""
-    from .graphs import WalkInstance
     return WalkInstance(inst.graph, inst.boundary, tuple(inflow), inst.phase)

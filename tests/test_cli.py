@@ -156,6 +156,27 @@ def test_analyze_approximates_rationals_beyond_float_range(tmp_path, capsys):
         assert abs(entry["approx"]) == 0.5
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["analyze", "--json"],
+                                     ["analyze", "--simulate", "5"],
+                                     ["simulate", "--steps", "5"]],
+                         ids=["analyze", "json", "analyze-simulate",
+                              "simulate"])
+def test_rational_beyond_float_range_is_an_input_error(command, tmp_path,
+                                                       capsys):
+    # The exact analysis of an inflow of 10^400 is valid, so the instance
+    # parses; only its float approximations and the float simulator fail.
+    text = f"n 3\ne 1 2\ne 2 3\ne 1 3\ntail 1 {10 ** 400}\n"
+    assert parse_instance(text).inflow == (rat(10 ** 400),)
+    path = tmp_path / "k3_huge.gw"
+    path.write_text(text)
+    assert main(command[:1] + [str(path)] + command[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {path}: ") and "float" in lines[0]
+
+
 def test_analyze_with_simulation(k4_file, capsys):
     assert main(["analyze", k4_file, "--simulate", "300"]) == 0
     out = capsys.readouterr().out

@@ -6,15 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grwalk.factors as factors
+import grwalk.graphs as graphs_module
 from grwalk.factors import (FactorMismatchError, closed_form_comfort,
                             cycle_incidence_check, factor_counts,
                             odd_unicyclic_sums, spanning_tree_count,
                             two_forest_count)
 from grwalk.graphs import (Graph, bipartition, complete_graph, cycle_graph,
-                           enumerate_connected, path_graph, star_graph,
-                           vertex_pairs)
-from grwalk.potential import laplacian, signless_laplacian
+                           enumerate_connected, path_graph, standard_instance,
+                           star_graph, vertex_pairs)
+from grwalk.potential import (bipartite_route, laplacian,
+                              nonbipartite_route, signless_laplacian)
 from grwalk.ratlin import rat
+from grwalk.stationary import stationary_state
 
 
 def _is_odd_unicyclic(vertices, edges):
@@ -70,7 +73,7 @@ def _components(n, edges):
 
 def _reference_enumeration(g):
     """The unpruned oracle: classify every one of the 2^m edge subsets
-    from scratch.  Same return shape as factors._enumerate_factors."""
+    from scratch.  Same return shape as graphs_module._enumerate_factors."""
     n, edges = g.n, g.edges
     m = len(edges)
     trees = 0
@@ -245,10 +248,10 @@ def test_mutated_determinant_is_detected(monkeypatch):
     # enumeration/determinant cross-check.
     from grwalk.potential import laplacian as real_laplacian
 
-    monkeypatch.setattr(factors, "signless_laplacian", real_laplacian)
+    monkeypatch.setattr(graphs_module, "signless_laplacian", real_laplacian)
     # A fresh memo per call: determinants memoised before the patch must
     # not hide it, nor may the corrupted ones outlive this test.
-    monkeypatch.setattr(factors, "_FactorMemo", factors._FactorMemo.__wrapped__)
+    monkeypatch.setattr(factors, "_GraphMemo", graphs_module._GraphMemo.__wrapped__)
     with pytest.raises(FactorMismatchError):
         odd_unicyclic_sums(complete_graph(4), 1, method="both")
 
@@ -256,7 +259,7 @@ def test_mutated_determinant_is_detected(monkeypatch):
 def test_search_equals_reference_on_small_catalog():
     for n in range(2, 6):
         for g in enumerate_connected(n):
-            got = factors._enumerate_factors(g)
+            got = graphs_module._enumerate_factors(g)
             assert got == _reference_enumeration(g), g.edges
             assert _histograms_ascend(got)
 
@@ -276,14 +279,14 @@ def connected_graphs(draw, n_max=7, m_max=12):
 @given(connected_graphs())
 @settings(max_examples=40, deadline=None)
 def test_search_equals_reference_on_random_graphs(g):
-    got = factors._enumerate_factors(g)
+    got = graphs_module._enumerate_factors(g)
     assert got == _reference_enumeration(g)
     assert _histograms_ascend(got)
 
 
 def test_n2_empty_subset_is_the_only_two_forest():
     g = Graph(2, [(1, 2)])
-    assert factors._enumerate_factors(g) == \
+    assert graphs_module._enumerate_factors(g) == \
         (1, {(1, 2): 1}, (0, {}), {1: (1, {1: 1}), 2: (1, {1: 1})})
 
 
@@ -301,8 +304,8 @@ def test_det_mode_never_enumerates(monkeypatch):
 
     # An enumeration memoised by an earlier test would never reach the
     # patched function.
-    factors._FactorMemo.cache_clear()
-    monkeypatch.setattr(factors, "_enumerate_factors", forbidden)
+    graphs_module._GraphMemo.cache_clear()
+    monkeypatch.setattr(graphs_module, "_enumerate_factors", forbidden)
     fc = factor_counts(complete_graph(5), 1, 5, "det")
     assert (fc.chi1, fc.omega_histogram) == (125, None)
     assert closed_form_comfort(complete_graph(5), 1, 5) > 0
@@ -331,8 +334,8 @@ def _forbid_counting(monkeypatch):
     def forbidden(g):
         raise AssertionError("counted before the arguments were checked")
 
-    monkeypatch.setattr(factors, "_enumerate_factors", forbidden)
-    monkeypatch.setattr(factors, "_FactorMemo", forbidden)
+    monkeypatch.setattr(graphs_module, "_enumerate_factors", forbidden)
+    monkeypatch.setattr(factors, "_GraphMemo", forbidden)
 
 
 def test_bad_method_rejected(monkeypatch):
@@ -368,7 +371,7 @@ def test_memo_equals_reference_closed_form():
     # used, the Laplacian first in one pass and the signless one first in
     # the other.
     graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
-    factors._FactorMemo.cache_clear()
+    graphs_module._GraphMemo.cache_clear()
     for first, phases in enumerate([(1, -1), (-1, 1)]):
         for g in graphs:
             pairs = [(u1, un) for u1 in range(1, g.n + 1)
@@ -378,12 +381,12 @@ def test_memo_equals_reference_closed_form():
                     assert closed_form_comfort(g, u1, un, z) == \
                         _reference_closed_form(g, u1, un, z), \
                         (g.edges, u1, un, z)
-    assert factors._FactorMemo.cache_info().misses == 2 * len(graphs)
+    assert graphs_module._GraphMemo.cache_info().misses == 2 * len(graphs)
 
 
 def test_memo_ignores_mutated_returned_matrices():
     g = complete_graph(5)
-    factors._FactorMemo.cache_clear()
+    graphs_module._GraphMemo.cache_clear()
     assert spanning_tree_count(g, "det") == 125
     assert odd_unicyclic_sums(g, 1, "det")[0] == \
         odd_unicyclic_sums(g, 1, "enum")[0]
@@ -394,13 +397,22 @@ def test_memo_ignores_mutated_returned_matrices():
     assert spanning_tree_count(g, "det") == 125
     assert two_forest_count(g, 5, 2, "both") == 2 * 5 ** 2
     assert odd_unicyclic_sums(g, 3, "det") == odd_unicyclic_sums(g, 3, "enum")
+    # So do the potential routes: a grounded minor and a full copy handed
+    # out by the memo are fresh too.
+    memo = graphs_module._GraphMemo(g)
+    for z, dropped in ((1, (5,)), (-1, ())):
+        for row in memo.minor(z, dropped).data:
+            row[:] = [rat(7)] * len(row)
+    for route, z in ((bipartite_route, 1), (nonbipartite_route, -1)):
+        inst = standard_instance(g, 1, 5, z)
+        assert route(inst)[1] == stationary_state(inst)
 
 
 def test_memo_stays_bounded_over_a_rank_sweep():
     from grwalk.catalog import rank
 
     rank(5, 1)
-    info = factors._FactorMemo.cache_info()
+    info = graphs_module._GraphMemo.cache_info()
     assert info.maxsize == 32 and info.currsize <= 32
 
 
@@ -415,9 +427,9 @@ def test_one_enumeration_per_graph(monkeypatch, g):
         calls.append(graph)
         return real(graph)
 
-    real = factors._enumerate_factors
-    factors._FactorMemo.cache_clear()
-    monkeypatch.setattr(factors, "_enumerate_factors", counted)
+    real = graphs_module._enumerate_factors
+    graphs_module._GraphMemo.cache_clear()
+    monkeypatch.setattr(graphs_module, "_enumerate_factors", counted)
     factor_counts(g, 1, g.n, "both")
     for u, v in vertex_pairs(g.n):
         assert two_forest_count(g, u, v, "both") == \
@@ -426,7 +438,7 @@ def test_one_enumeration_per_graph(monkeypatch, g):
         odd_unicyclic_sums(g, u, "both")
     assert spanning_tree_count(g, "enum") == spanning_tree_count(g, "det")
     assert calls == [g]
-    assert factors._FactorMemo.cache_info().maxsize == 32
+    assert graphs_module._GraphMemo.cache_info().maxsize == 32
 
 
 def _grid_graph(rows, cols):
@@ -444,7 +456,7 @@ def test_enumeration_leaves_no_reference_cycle(g):
     gc.collect()
     gc.disable()
     try:
-        factors._enumerate_factors(g)
+        graphs_module._enumerate_factors(g)
         assert gc.collect() == 0
     finally:
         gc.enable()

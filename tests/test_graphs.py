@@ -11,6 +11,8 @@ from grwalk.graphs import (Graph, GraphError, InstanceParseError,
                            cycle_graph, enumerate_connected,
                            odd_cycle_witness, parse_instance, path_graph,
                            standard_instance, star_graph, vertex_pairs)
+import grwalk.graphs as graphs_module
+from grwalk.catalog import analyze, rank, standard_sweep
 from grwalk.ratlin import rat
 
 
@@ -232,3 +234,70 @@ def test_parse_dense_document_is_linear():
                        match=rf"^line {k}: duplicate edge \(1, 2\)$") as err:
         parse_instance("\n".join(lines))
     assert err.value.line == k
+
+
+@pytest.fixture
+def counted_memo_work(monkeypatch):
+    """A cleared memo, and the graphs coloured and the phases z of every
+    L_z built from then on."""
+    coloured, built = [], []
+    real_color, real_l_z = graphs_module._two_color, graphs_module._l_z
+
+    def color(g):
+        coloured.append(g)
+        return real_color(g)
+
+    def l_z(g, z):
+        built.append(z)
+        return real_l_z(g, z)
+
+    graphs_module._GraphMemo.cache_clear()
+    monkeypatch.setattr(graphs_module, "_two_color", color)
+    monkeypatch.setattr(graphs_module, "_l_z", l_z)
+    return coloured, built
+
+
+@pytest.mark.parametrize("inst, phases", [
+    (standard_instance(complete_graph(4), 1, 4, -1), [-1, 1]),
+    (standard_instance(cycle_graph(4), 1, 4, -1), [-1, 1]),
+    (WalkInstance(complete_graph(4), (1, 2, 3), (rat(1), rat(1, 2), rat(-2)),
+                  1), [1])], ids=["K4", "C4", "K4-three-tails-z+1"])
+def test_analyze_colours_once_and_builds_each_l_z_once(counted_memo_work,
+                                                       inst, phases):
+    # analyze reads the colouring in the partition, the odd-cycle witness,
+    # the scattering prediction, the potential route, the audit and the
+    # closed form; the factor counts and the potential route share L_z.
+    coloured, built = counted_memo_work
+    assert analyze(inst).ok
+    assert coloured == [inst.graph]
+    assert sorted(built) == phases
+
+
+def test_standard_sweep_colours_each_graph_once(counted_memo_work):
+    coloured, _ = counted_memo_work
+    for _ in standard_sweep(4):
+        pass
+    assert coloured == enumerate_connected(4)
+
+
+def test_colouring_is_read_only():
+    color, parent, order, odd_edge = \
+        graphs_module._GraphMemo(cycle_graph(5)).coloring
+    with pytest.raises(TypeError):
+        color[1] = 1
+    with pytest.raises(TypeError):
+        parent[2] = None
+    assert isinstance(order, tuple) and odd_edge is not None
+
+
+def test_memo_stays_bounded():
+    memo = graphs_module._GraphMemo
+    rank(5, 1)
+    assert memo.cache_info().maxsize == 32
+    assert memo.cache_info().currsize <= 32
+    memo.cache_clear()
+    for g in enumerate_connected(5)[:100]:
+        analyze(standard_instance(g, 1, 5))
+    info = memo.cache_info()
+    assert info.maxsize == 32 and info.currsize == 32
+    assert info.misses == 100

@@ -444,3 +444,70 @@ def test_stationary_state_catches_an_unprojected_solution(monkeypatch):
     zero_gram_coefficients(monkeypatch)
     with pytest.raises(RuntimeError, match="nonzero residual"):
         stationary_state(inst)
+
+
+def _random_instance(rng, g, z):
+    """A seeded boundary of any size and order with rational inflows."""
+    boundary = tuple(rng.sample(range(1, g.n + 1), rng.randint(1, g.n)))
+    inflow = tuple(rat(rng.randint(-4, 4), rng.randint(1, 5))
+                   for _ in boundary)
+    return WalkInstance(g, boundary, inflow, z)
+
+
+def test_switching_relates_the_two_phases_on_bipartite_graphs():
+    # With s = +1 on X and -1 on Y: psi_{-1}(alpha)(a) =
+    # s(t(a)) psi_{+1}(s alpha)(a) and sigma_{-1} = -S sigma_{+1} S, where
+    # S = diag(s(v_j)).  The arc solve never reads the colouring, so this
+    # ties the memo's bipartition to it; every bipartite connected graph
+    # with n <= 5.
+    rng = random.Random(218)
+    cases = 0
+    for n in range(2, 6):
+        for g in enumerate_connected(n):
+            part = bipartition(g)
+            if part is None:
+                continue
+            s = {v: 1 if v in part.X else -1 for v in range(1, n + 1)}
+            minus = _random_instance(rng, g, -1)
+            plus = WalkInstance(g, minus.boundary,
+                                tuple(s[v] * a for v, a in
+                                      zip(minus.boundary, minus.inflow)), 1)
+            psi_plus = stationary_state(plus)
+            assert stationary_state(minus) == ArcField(
+                g, {a: s[a[1]] * psi_plus[a] for a in g.arcs})
+            sign = [s[v] for v in minus.boundary]
+            sigma_plus = scattering(plus).sigma.data
+            assert scattering(minus).sigma.data == [
+                [-sign[i] * x * sign[j] for j, x in enumerate(row)]
+                for i, row in enumerate(sigma_plus)]
+            cases += 1
+    assert cases == 218
+
+
+@pytest.mark.parametrize("z", [-1, 1])
+def test_relabelling_and_boundary_reorder_commute_with_the_solve(z):
+    # Relabel the vertices by a random permutation pi and reorder the
+    # boundary by a random permutation p: psi moves with its arcs, sigma
+    # is conjugated by p, and the bipartition moves with the vertices.
+    # Every connected graph with n <= 4.
+    rng = random.Random(30 + z)
+    for n in range(2, 5):
+        for g in enumerate_connected(n):
+            inst = _random_instance(rng, g, z)
+            pi = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+            p = rng.sample(range(inst.r), inst.r)
+            h = Graph(n, [(pi[u], pi[v]) for u, v in g.edges])
+            moved = WalkInstance(h, tuple(pi[inst.boundary[k]] for k in p),
+                                 tuple(inst.inflow[k] for k in p), z)
+            psi = stationary_state(inst)
+            assert stationary_state(moved) == ArcField(
+                h, {(pi[u], pi[v]): x for (u, v), x in psi.items()})
+            sigma = scattering(inst).sigma.data
+            assert scattering(moved).sigma.data == [
+                [sigma[i][j] for j in p] for i in p]
+            part, image = bipartition(g), bipartition(h)
+            assert (part is None) == (image is None)
+            if part is not None:
+                sides = {frozenset(pi[v] for v in part.X),
+                         frozenset(pi[v] for v in part.Y)}
+                assert sides == {image.X, image.Y}
