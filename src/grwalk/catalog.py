@@ -231,7 +231,7 @@ class AnalysisReport:
     scattering_ok: bool           # sigma orthogonal and equal to its prediction
     audit: object                 # Kirchhoff audit report, at both phases
     factors: object               # FactorCounts for standard settings
-    simulation: dict              # residual summary when requested
+    simulation: dict              # residual and cycle summary when requested
 
     @property
     def ok(self):
@@ -272,7 +272,9 @@ def analyze(inst, simulate_steps=None):
                       "final_residual": trace.residuals[-1],
                       "distance_to_exact": trace.final_distance,
                       "contraction_rate": rate,
-                      "predicted_steps": predicted}
+                      "predicted_steps": predicted,
+                      "cycle_start": trace.cycle_start,
+                      "cycle_period": trace.cycle_period}
     return AnalysisReport(inst, part is not None, part,
                           None if part else odd_cycle_witness(g),
                           psi, routes, agree, report.beta, report.sigma,

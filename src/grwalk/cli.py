@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 internal disagreement or failed self-test,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from .catalog import analyze, rank, selftest
@@ -213,31 +215,42 @@ def cmd_simulate(args):
         print("error: --steps must be at least 1", file=sys.stderr)
         return 2
     # Open --out before the exact solve and the run, so that a path that
-    # cannot be written fails at once.
+    # cannot be written fails at once; any failure after that removes it.
     try:
         out = open(args.out, "w", newline="") if args.out else None
     except OSError as exc:
         return _cannot_write(args.out, exc)
-    exact = stationary_state(inst)
+    finished = False
     try:
+        exact = stationary_state(inst)
         trace = simulate(inst, args.steps, exact=exact,
                          residual_stop=args.residual_stop)
         rate, predicted = contraction_rate(inst, args.residual_stop)
-    except OverflowError as exc:
         if out:
-            out.close()
-        return _out_of_float_range(args.file, exc)
-    if out:
-        try:
             with out:
                 write_trace_csv(trace, out)
-        except OSError as exc:
-            return _cannot_write(args.out, exc)
+        finished = True
+    except OverflowError as exc:
+        return _out_of_float_range(args.file, exc)
+    except OSError as exc:              # only writing the trace does I/O
+        return _cannot_write(args.out, exc)
+    finally:
+        if out and not finished:
+            out.close()
+            with contextlib.suppress(OSError):
+                os.remove(args.out)
+    if out:
         print(f"trace written to {args.out}")
     print(f"steps run: {trace.steps} (requested {args.steps})")
     if trace.converged_at is not None:
         print(f"residual dropped below threshold at step {trace.converged_at}")
     print(f"final residual: {trace.residuals[-1]:.6e}")
+    if trace.cycle_period is None:
+        print("float trajectory: no exact repeat found")
+    else:
+        print(f"float trajectory: repeats exactly from step "
+              f"{trace.cycle_start} with period {trace.cycle_period}; "
+              f"later steps copied, not computed")
     print(f"sup-norm distance to exact stationary state: "
           f"{trace.final_distance:.6e}")
     if predicted is None:

@@ -12,9 +12,21 @@ Only the internal arcs are stored.  Every inbound tail arc holds the
 constant inflow alpha at every step, so a step is psi <- E psi + S alpha
 with the source S alpha computed once.  An outbound tail arc at depth d
 holds what the boundary coin sent out d + 1 steps earlier; ``amplitudes``
-derives it from the internal vector of that earlier state.  The states of
-one trajectory share a single list of those vectors, oldest first, so a
-state is its own vector, that list and its step index.
+derives it from the internal vector of that earlier state, so a state is
+its own vector, the vectors before it (oldest first) and its step index.
+
+``simulate`` keeps a trajectory in one float64 buffer, row k the vector
+after k steps.  Step 1 goes through the public ``step``; every later row
+is the same matrix-vector product and sum written in place, so the rows
+are bit for bit what stepping state after state gives, and the one
+``TruncatedState`` it builds, at the end, views the buffer as its
+history.  Often the float trajectory lands on an exact cycle: at the end
+of a block of steps, the last row has the bits of a row p <= 64 steps
+earlier.  A step is a function of the bits of its input vector alone, so
+from there on every row is the row p before it, and the rest of the run
+is copied instead of computed, its residuals repeated.  The comparison is
+on the bits, not with ``==``: -0.0 == +0.0, yet the two may lead to
+different later vectors, and a NaN never equals itself.
 
 Tail vertices are labelled ("t", j, d): depth d >= 1 on the tail attached
 to the j-th boundary vertex.
@@ -22,6 +34,7 @@ to the j-th boundary vertex.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -30,8 +43,11 @@ import numpy as np
 
 from .stationary import coin_sign, operator_entries
 
-# Steps per vectorised residual pass in ``simulate``.
+# Steps per vectorised residual pass and cycle check in ``simulate``, and
+# the longest period the check finds.
 _BLOCK = 64
+# Trajectory buffer rows a run that may stop early starts with.
+_FIRST_ROWS = 1024
 # Moduli at or above this count as on the unit circle (confined states).
 _UNIT_CIRCLE = 1.0 - 1e-9
 # An outbound tail arc the inflow has not reached yet.
@@ -78,14 +94,15 @@ class TruncatedState:
     Only the internal arcs are stored; the tail arcs are derived in
     ``amplitudes`` from the inflow and from earlier internal vectors.
     ``history[:t]`` holds the vectors of the t states before this one,
-    oldest first; the states of a trajectory share one list and read only
-    its first t entries, of which ``amplitudes`` uses the last ``horizon``.
+    oldest first, of which ``amplitudes`` uses the last ``horizon``: a list
+    that the states of a ``step`` trajectory share, reading only its first
+    t entries, or the rows of ``simulate``'s trajectory buffer.
     """
 
     instance: object
     horizon: int
     internal: np.ndarray            # indexed by the graph's arc order
-    history: list = field(repr=False, compare=False)
+    history: object = field(repr=False, compare=False)  # list or 2-D array
     t: int                          # steps taken from the zero start
     operator: tuple = field(repr=False, compare=False)
 
@@ -125,12 +142,13 @@ def step(state, inst):
     """One application of the time evolution: signed Grover coins at the
     internal vertices fed by the constant inflow.  ``inst`` must be the
     state's instance.  The new state appends ``state.internal`` to the
-    shared history; a state stepped a second time gives its successor a
-    copy of its own t entries instead (see ``TruncatedState``)."""
+    shared history list; a state stepped a second time, or one whose
+    history is ``simulate``'s buffer, gives its successor a list of its
+    own t entries instead (see ``TruncatedState``)."""
     op = state.operator
     history = state.history
-    if len(history) != state.t:
-        history = history[:state.t]
+    if not isinstance(history, list) or len(history) != state.t:
+        history = list(history[:state.t])
     history.append(state.internal)
     return TruncatedState(inst, state.horizon,
                           op.mat @ state.internal + op.source, history,
@@ -139,14 +157,25 @@ def step(state, inst):
 
 @dataclass
 class SimulationTrace:
-    """Per-step internal snapshots, successive-step residuals, final state."""
+    """Per-step internal snapshots, successive-step residuals, final state.
+
+    ``snapshots`` views the run's one buffer: row k - 1 is the vector after
+    step k, and ``final.history`` views the same rows.  From step
+    ``cycle_start`` on, the vector of step k + ``cycle_period`` has the
+    bits of the vector of step k, so the rows and residuals past the first
+    repeat were copied, not computed.  Both are None when the residual
+    stopped the run first, or no repeat with a period of at most 64 steps
+    showed at the end of a 64-step block.
+    """
 
     instance: object
-    snapshots: list                 # internal-arc vectors, snapshots[0] = step 1
+    snapshots: np.ndarray           # internal-arc vectors, snapshots[0] = step 1
     residuals: list                 # sup-norm of successive differences on A0
     final: TruncatedState
     converged_at: int               # step index, or None if T was exhausted
     final_distance: float           # sup-norm to exact psi_inf, or None
+    cycle_start: int = None         # first step of an exact float cycle
+    cycle_period: int = None        # its length in steps
 
     @property
     def steps(self):
@@ -159,37 +188,103 @@ def simulate(inst, steps, horizon=None, exact=None, residual_stop=1e-10):
     Stops early once the internal residual drops below ``residual_stop``
     (pass None to always run the full count).  When ``exact`` (an exact
     stationary ArcField) is given, the final sup-norm distance to it is
-    reported.  The snapshots are the final state's history after the zero
-    start plus its own internal vector, the same arrays, not copies.
+    reported.  The snapshots and the final state's history are views of
+    one buffer; the final internal vector is a copy of its last row.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     if horizon is None:
         horizon = steps + 2
-    state = TruncatedState.initial(inst, horizon)
+    first = step(TruncatedState.initial(inst, horizon), inst)
+    op = first.operator
+    mat, source = op.mat, op.source
+    # A run that cannot stop early fills every row, so it gets them at once.
+    rows = steps + 1 if residual_stop is None else min(steps, _FIRST_ROWS) + 1
+    buf = np.empty((rows, first.internal.size))
+    buf[0] = 0.0
+    buf[1] = first.internal
     residuals = []
-    converged_at = None
-    while state.t < steps and converged_at is None:
-        block = [state]
-        for _ in range(min(_BLOCK, steps - state.t)):
-            block.append(step(block[-1], inst))
-        vectors = np.array([s.internal for s in block])
-        res = np.abs(np.diff(vectors, axis=0)).max(axis=1).tolist()
-        if residual_stop is not None:
-            hit = next((k for k, r in enumerate(res) if r < residual_stop),
-                       None)
-            if hit is not None:
-                del block[hit + 2:], res[hit + 1:]
-                converged_at = block[-1].t
+    converged_at = cycle = None
+    t = 0                                   # rows 0 .. t are done
+    while t < steps and converged_at is None and cycle is None:
+        end = min(t + _BLOCK, steps)
+        if end >= len(buf):
+            buf = _grown(buf, min(steps + 1, 2 * len(buf)), t)
+        # step's product (the same dgemv as ``@``) and sum, in place
+        for prev, row in itertools.pairwise(buf[max(t, 1):end + 1]):
+            np.dot(mat, prev, row)
+            np.add(row, source, row)
+        res = np.abs(np.diff(buf[t:end + 1], axis=0)).max(axis=1).tolist()
+        hit = _first_below(res, residual_stop)
+        if hit is not None:
+            del res[hit + 1:]
+            end = converged_at = t + hit + 1
         residuals.extend(res)
-        state = block[-1]
-    del state.history[state.t:]          # vectors of steps past an early stop
+        t = end
+        if converged_at is None:
+            cycle = _cycle(buf, t)
+    if cycle is not None and t < steps:
+        period = cycle[1]
+        repeat = residuals[t - period:t]    # those of steps t+1 .. t+period
+        hit = _first_below(repeat[:steps - t], residual_stop)
+        end = steps if hit is None else t + hit + 1
+        converged_at = None if hit is None else end
+        if end >= len(buf):
+            buf = _grown(buf, end + 1, t)
+        _repeat_rows(buf, t, end, period)
+        residuals.extend(itertools.islice(itertools.cycle(repeat), end - t))
+        t = end
+    final = TruncatedState(inst, horizon, buf[t].copy(), buf[:t], t, op)
     distance = None
     if exact is not None:
         target = np.array([float(x) for x in exact.vector()])
-        distance = float(np.max(np.abs(state.internal - target)))
-    return SimulationTrace(inst, state.history[1:] + [state.internal],
-                           residuals, state, converged_at, distance)
+        distance = float(np.max(np.abs(final.internal - target)))
+    return SimulationTrace(inst, buf[1:t + 1], residuals, final, converged_at,
+                           distance, *(cycle or (None, None)))
+
+
+def _grown(buf, rows, t):
+    """A buffer of ``rows`` rows holding the first t + 1 rows of ``buf``."""
+    out = np.empty((rows, buf.shape[1]))
+    out[:t + 1] = buf[:t + 1]
+    return out
+
+
+def _first_below(residuals, stop):
+    """Index of the first residual below ``stop``; None if there is none
+    or ``stop`` is None."""
+    if stop is None:
+        return None
+    return next((k for k, r in enumerate(residuals) if r < stop), None)
+
+
+def _cycle(buf, t):
+    """(start, period) when row t has the bits of one of the ``_BLOCK``
+    rows before it, else None.  ``period`` is the distance to the nearest
+    such row, and ``start`` the first row that the row ``period`` later
+    repeats; from ``start`` on, every row repeats."""
+    bits = buf[:t + 1].view(np.uint64)
+    lo = max(0, t - _BLOCK)
+    match = np.flatnonzero((bits[lo:t] == bits[t]).all(axis=1))
+    if not match.size:
+        return None
+    period = t - lo - int(match[-1])
+    # The previous block end found no repeat, so the cycle starts within
+    # the last two blocks; a repeat, once there, holds for every later row.
+    lo = max(0, t - 2 * _BLOCK)
+    same = (bits[lo + period:] == bits[lo:t + 1 - period]).all(axis=1)
+    return lo + int(np.argmax(same)), period
+
+
+def _repeat_rows(buf, t, end, period):
+    """Rows t + 1 .. end of a trajectory that repeats with ``period`` from
+    row t + 1 - period on: each row is the row ``period`` before it.  Each
+    slice copied doubles the run of rows in place."""
+    src, row = t + 1 - period, t + 1
+    while row <= end:
+        n = min(row - src, end + 1 - row)
+        buf[row:row + n] = buf[src:src + n]
+        row += n
 
 
 def contraction_rate(inst, residual_stop=1e-10):

@@ -304,3 +304,45 @@ def test_simulate_unwritable_out_exits_2(c4_file, tmp_path, capsys,
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot write {path}: ")
         assert "trace written" not in captured.out
+
+
+def test_simulate_failed_run_leaves_no_out_file(tmp_path, capsys,
+                                                monkeypatch):
+    # --out is opened before the run; a run that fails then removes it.
+    path = tmp_path / "k3_huge.gw"
+    path.write_text(f"n 3\ne 1 2\ne 2 3\ne 1 3\ntail 1 {10 ** 400}\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", str(path), "--steps", "5",
+                 "--out", "h.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "float" in captured.err
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_simulate_failed_write_leaves_no_out_file(c4_file, tmp_path, capsys,
+                                                  monkeypatch):
+    def full_disk(trace, fh):
+        fh.write("step")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_trace_csv", full_disk)
+    out_csv = tmp_path / "trace.csv"
+    assert main(["simulate", c4_file, "--steps", "5",
+                 "--out", str(out_csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out_csv}: ")
+    assert "trace written" not in captured.out
+    assert not out_csv.exists()
+
+
+def test_simulate_reports_the_float_cycle(k4_file, tmp_path, capsys):
+    assert main(["simulate", k4_file, "--steps", "2000",
+                 "--residual-stop", "0"]) == 0
+    assert "float trajectory: repeats exactly from step 344 with " \
+        "period 10" in capsys.readouterr().out
+    assert main(["simulate", k4_file, "--steps", "300"]) == 0
+    assert "float trajectory: no exact repeat found" in \
+        capsys.readouterr().out
+    assert main(["analyze", k4_file, "--simulate", "300", "--json"]) == 0
+    sim = json.loads(capsys.readouterr().out)["simulation"]
+    assert sim["cycle_start"] is None and sim["cycle_period"] is None

@@ -457,3 +457,93 @@ def test_default_horizon_costs_no_memory_beyond_the_snapshots():
     inst = standard_instance(complete_graph(4), 1, 4)
     assert _simulate_peak(inst, 5000, None) <= \
         1.05 * _simulate_peak(inst, 5000, 1)
+
+
+# The cycle path: once a block of steps ends on a row with the bits of a
+# row at most 64 steps earlier, the rest of the run is copied.  C4 (1, 4)
+# reaches a fixed point (period 1) at step 146; K4 (1, 4) repeats with
+# period 10 from step 344, its residuals between 2.2e-16 and 3.9e-16.
+
+def _cycle_instances():
+    return [("c4-period-1", standard_instance(cycle_graph(4), 1, 4), 1),
+            ("k4-period-10", standard_instance(complete_graph(4), 1, 4), 10)]
+
+
+@pytest.mark.parametrize("name, inst, period", _cycle_instances(),
+                         ids=[c[0] for c in _cycle_instances()])
+def test_cycle_path_equals_reference(name, inst, period):
+    trace = simulate(inst, 2000, residual_stop=None)
+    assert trace.cycle_period == period
+    start = trace.cycle_start
+    assert 0 <= start < 2000 - 64
+    snaps = trace.snapshots
+    # Row k - 1 is step k; from the cycle start on, step k + period repeats
+    # step k bit for bit, and one step earlier it does not.
+    rows = np.concatenate([np.zeros((1, snaps.shape[1])), snaps])
+    bits = rows.view(np.uint64)
+    assert np.array_equal(bits[start + period:], bits[start:-period])
+    assert not np.array_equal(bits[start - 1 + period], bits[start - 1])
+    cycle_res = trace.residuals[start:start + period]
+    stops = [None, 1e-10]
+    if period >= 2:
+        assert min(cycle_res) < max(cycle_res)
+        stops.append((min(cycle_res) + max(cycle_res)) / 2)
+    exact = stationary_state(inst)
+    for stop in stops:
+        _assert_same_trace(
+            simulate(inst, 2000, exact=exact, residual_stop=stop),
+            _reference_simulate(inst, 2000, exact=exact, residual_stop=stop))
+
+
+def test_cycle_found_before_the_last_block_fills_the_rest():
+    # Every step count ending past the detection copies a different number
+    # of rows; each run equals the reference.
+    inst = standard_instance(complete_graph(4), 1, 4)
+    for steps in (384, 400, 449, 450, 451, 513, 777):
+        _assert_same_trace(simulate(inst, steps, residual_stop=None),
+                           _reference_simulate(inst, steps,
+                                               residual_stop=None))
+
+
+def test_buffer_growth_with_a_threshold_never_reached():
+    # A run that may stop early starts with 1025 rows and grows: past the
+    # cycle on K4, and by doubling on the 3x4 grid, which never repeats.
+    for inst in (standard_instance(complete_graph(4), 1, 4),
+                 standard_instance(_grid_graph(3, 4), 1, 12)):
+        trace = simulate(inst, 2500, residual_stop=1e-300)
+        assert trace.converged_at is None and trace.steps == 2500
+        _assert_same_trace(trace, _reference_simulate(
+            inst, 2500, residual_stop=1e-300))
+
+
+def test_grid_run_never_repeats_and_is_unchanged():
+    inst = standard_instance(_grid_graph(3, 4), 1, 12)
+    exact = stationary_state(inst)
+    trace = simulate(inst, 2000, exact=exact, residual_stop=None)
+    assert trace.cycle_start is None and trace.cycle_period is None
+    _assert_same_trace(trace, _reference_simulate(inst, 2000, exact=exact,
+                                                  residual_stop=None))
+
+
+def test_cycle_reported_only_without_an_early_stop():
+    inst = standard_instance(complete_graph(4), 1, 4)
+    trace = simulate(inst, 2000, residual_stop=None)
+    assert (trace.cycle_start, trace.cycle_period) == (344, 10)
+    stopped = simulate(inst, 2000)
+    assert stopped.converged_at == 127
+    assert stopped.cycle_start is None and stopped.cycle_period is None
+
+
+def test_long_cycling_run_holds_only_its_snapshots():
+    # 200k steps on K4: the buffer is the snapshot array, and the copied
+    # residuals share the float objects of one period, so beyond the
+    # residual list's own pointers only a small constant remains.
+    inst = standard_instance(complete_graph(4), 1, 4)
+    tracemalloc.start()
+    try:
+        trace = simulate(inst, 200_000, residual_stop=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.steps == 200_000 and trace.cycle_period == 10
+    assert peak <= trace.snapshots.nbytes + 8 * len(trace.residuals) + 2 ** 20
