@@ -10,14 +10,16 @@ ten classic classes.  Classes are presented with edge count descending,
 bipartite classes first within an edge count, energy ascending among
 bipartite classes and descending among non-bipartite ones.
 
-Each self-test suite takes ``sweep``, through which selftest() hands all
-suites one shared catalog sweep per run.
+One route list, ``_energy_routes``, serves ``analyze`` and the
+three-route suite.  Each self-test suite takes ``sweep``, through which
+selftest() hands all suites one shared catalog sweep per run; the
+per-configuration suites walk its records through ``_configurations``.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby, permutations
 
 from .factors import FactorMismatchError, closed_form_comfort, \
     cycle_incidence_check, factor_counts, odd_unicyclic_sums, \
@@ -30,6 +32,12 @@ from .ratlin import rat
 from .simulate import contraction_rate, simulate
 from .stationary import comfortability_direct, scattering, \
     stationary_state, unit_stationary_states
+
+
+_ORACLE_N_MAX = 5
+_SIMULATOR_N_MAX = 4
+_SIMULATOR_STEPS = 2000
+_SIMULATOR_TOL = 1e-6               # on the distance to the exact state
 
 
 def scattering_label(g, z):
@@ -151,8 +159,7 @@ def rank(n, z=-1):
         raise ValueError("rank supports 2 <= n <= 5")
     if z not in (1, -1):
         raise ValueError("z must be +1 or -1")
-    ordered = [(u1, un) for u1 in range(1, n + 1) for un in range(1, n + 1)
-               if u1 != un]
+    ordered = list(permutations(range(1, n + 1), 2))
     bits = _pair_bits(n)          # to read each graph's own edge mask
     seen = set()                  # edge masks of every class met so far
     classes = {}
@@ -195,12 +202,8 @@ def rank(n, z=-1):
     rows = [row for _, row in sorted(classes.items(), key=row_key)]
     by_comf = sorted(range(len(rows)), key=lambda i: rows[i].comfort,
                      reverse=True)
-    tie_groups = []
-    for i in by_comf:
-        if tie_groups and rows[tie_groups[-1][0]].comfort == rows[i].comfort:
-            tie_groups[-1].append(i)
-        else:
-            tie_groups.append([i])
+    tie_groups = [list(group) for _, group in
+                  groupby(by_comf, key=lambda i: rows[i].comfort)]
     # Isomorphism classes are presented by edge count, then by their
     # maximal alternating-walk energy, which fixes the order for both z.
     class_maxima = sorted(maxima.values(),
@@ -214,6 +217,36 @@ def rank(n, z=-1):
 class RouteValue:
     name: str
     value: object
+
+
+def _is_standard(inst):
+    """The closed-form setting: two tails with inflow (1, 0)."""
+    return inst.r == 2 and inst.inflow == (rat(1), rat(0))
+
+
+def _energy_routes(inst, psi):
+    """The energy routes that apply to ``inst`` with stationary state
+    ``psi``: direct, closed form (standard setting), the potential route,
+    and a None-valued mismatch entry if that route rebuilds another psi."""
+    g = inst.graph
+    routes = [RouteValue("direct", comfortability_direct(psi))]
+    if _is_standard(inst):
+        routes.append(RouteValue("closed-form",
+                                 closed_form_comfort(g, *inst.boundary,
+                                                     inst.phase)))
+    if inst.phase == -1 and bipartition(g) is None:
+        name, route = "signless-potential", nonbipartite_route
+    else:
+        name, route = "laplacian-potential", bipartite_route
+    _, psi2, energy = route(inst)
+    routes.append(RouteValue(name, energy))
+    if psi2 != psi:
+        routes.append(RouteValue("potential-reconstruction-mismatch", None))
+    return routes
+
+
+def _agree(routes):
+    return all(r.value == routes[0].value for r in routes)
 
 
 @dataclass
@@ -245,22 +278,9 @@ def analyze(inst, simulate_steps=None):
     part = bipartition(g)
     states = unit_stationary_states(inst)
     psi = stationary_state(inst, unit_states=states)
-    routes = [RouteValue("direct", comfortability_direct(psi))]
-    factors = None
-    if inst.r == 2 and inst.inflow == (rat(1), rat(0)):
-        u1, un = inst.boundary
-        routes.append(RouteValue("closed-form",
-                                 closed_form_comfort(g, u1, un, inst.phase)))
-        factors = factor_counts(g, u1, un, method="both")
-    if inst.phase == -1 and part is None:
-        _, psi2, energy = nonbipartite_route(inst)
-        routes.append(RouteValue("signless-potential", energy))
-    else:
-        _, psi2, energy = bipartite_route(inst)
-        routes.append(RouteValue("laplacian-potential", energy))
-    if psi2 != psi:
-        routes.append(RouteValue("potential-reconstruction-mismatch", None))
-    agree = all(r.value == routes[0].value for r in routes)
+    routes = _energy_routes(inst, psi)
+    factors = (factor_counts(g, *inst.boundary, method="both")
+               if _is_standard(inst) else None)
     report = scattering(inst, unit_states=states)
     audit = kirchhoff_audit(inst, psi)
     simulation = None
@@ -277,8 +297,8 @@ def analyze(inst, simulate_steps=None):
                       "cycle_period": trace.cycle_period}
     return AnalysisReport(inst, part is not None, part,
                           None if part else odd_cycle_witness(g),
-                          psi, routes, agree, report.beta, report.sigma,
-                          report.classification,
+                          psi, routes, _agree(routes), report.beta,
+                          report.sigma, report.classification,
                           report.orthogonal and report.matches_prediction,
                           audit, factors, simulation)
 
@@ -308,20 +328,18 @@ def _suite_worked_values(_sweep):
     return ok, f"classes={values} labels={labels}"
 
 
-def _suite_three_routes(sweep):
-    bad = []
-    for g, pair, configs, _ in sweep():
+def _configurations(records):
+    """(standard instance, Configuration) for every configuration of the
+    sweep records, in order."""
+    for _, _, configs, _ in records:
         for cfg in configs:
-            u1, un = cfg.boundary
-            closed = closed_form_comfort(g, u1, un, -1)
-            inst = standard_instance(g, u1, un)
-            if bipartition(g) is None:
-                _, psi2, pot = nonbipartite_route(inst)
-            else:
-                _, psi2, pot = bipartite_route(inst)
-            if not (cfg.comfort == closed == pot and psi2.values ==
-                    {a: cfg.psi[a] for a in g.arcs}):
-                bad.append((g.n, g.edges, cfg.boundary))
+            yield standard_instance(cfg.graph, *cfg.boundary), cfg
+
+
+def _suite_three_routes(sweep):
+    bad = [(cfg.graph.n, cfg.graph.edges, cfg.boundary)
+           for inst, cfg in _configurations(sweep())
+           if not _agree(_energy_routes(inst, cfg.psi))]
     return not bad, f"{len(bad)} disagreements" + (f", first {bad[0]}" if bad else "")
 
 
@@ -332,27 +350,26 @@ def _suite_scattering(sweep):
 
 
 def _suite_kirchhoff(sweep):
-    oks = [kirchhoff_audit(standard_instance(g, *cfg.boundary), cfg.psi).ok
-           for g, _, configs, _ in sweep() for cfg in configs]
+    oks = [kirchhoff_audit(inst, cfg.psi).ok
+           for inst, cfg in _configurations(sweep())]
     bad = oks.count(False)
     return bad == 0, f"{len(oks)} states audited, {bad} failures"
 
 
-def _suite_factor_oracles(_sweep, n_max=5):
+def _suite_factor_oracles(_sweep):
+    graphs = [g for n in range(2, _ORACLE_N_MAX + 1)
+              for g in enumerate_connected(n)]
     bad = 0
-    checked = 0
-    for n in range(2, n_max + 1):
-        for g in enumerate_connected(n):
-            try:
-                spanning_tree_count(g, method="both")
-                for u in range(1, n + 1):
-                    odd_unicyclic_sums(g, u, method="both")
-                    for v in range(u + 1, n + 1):
-                        two_forest_count(g, u, v, method="both")
-            except FactorMismatchError:
-                bad += 1
-            checked += 1
-    return bad == 0, f"{checked} graphs, {bad} oracle mismatches"
+    for g in graphs:
+        try:
+            spanning_tree_count(g, method="both")
+            for u in range(1, g.n + 1):
+                odd_unicyclic_sums(g, u, method="both")
+                for v in range(u + 1, g.n + 1):
+                    two_forest_count(g, u, v, method="both")
+        except FactorMismatchError:
+            bad += 1
+    return bad == 0, f"{len(graphs)} graphs, {bad} oracle mismatches"
 
 
 def _suite_incidence(_sweep):
@@ -361,18 +378,13 @@ def _suite_incidence(_sweep):
     return ok, "odd cycles give +-2, even cycles give 0"
 
 
-def _suite_simulator(sweep, n_max=4, steps=2000, tol=1e-6):
-    worst = 0.0
-    count = 0
-    for g, pair, configs, _ in sweep():
-        if g.n > n_max:
-            continue
-        for cfg in configs:
-            inst = standard_instance(g, *cfg.boundary)
-            trace = simulate(inst, steps, exact=cfg.psi)
-            worst = max(worst, trace.final_distance)
-            count += 1
-    return worst < tol, f"{count} instances, worst distance {worst:.3e}"
+def _suite_simulator(sweep):
+    small = [rec for rec in sweep() if rec[0].n <= _SIMULATOR_N_MAX]
+    distances = [simulate(inst, _SIMULATOR_STEPS, exact=cfg.psi).final_distance
+                 for inst, cfg in _configurations(small)]
+    worst = max(distances, default=0.0)
+    return all(d < _SIMULATOR_TOL for d in distances), \
+        f"{len(distances)} instances, worst distance {worst:.3e}"
 
 
 SELFTEST_SUITES = [
@@ -403,9 +415,11 @@ def selftest():
     results = []
     for name, fn in SELFTEST_SUITES:
         start = time.perf_counter()
+        # A failed check raises one of these (FactorMismatchError and the
+        # residual check are RuntimeErrors); anything else is a bug.
         try:
             ok, detail = fn(sweep)
-        except Exception as exc:          # a crashed suite is a failure
+        except (RuntimeError, ValueError, ArithmeticError, LookupError) as exc:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(SuiteResult(name, ok, detail,
                                    time.perf_counter() - start))

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .stationary import coin_sign, operator_entries
+from .stationary import operator_entries
 
 # Steps per vectorised residual pass and cycle check in ``simulate``, and
 # the longest period the check finds.
@@ -74,7 +74,7 @@ def _float_operator(inst):
     mat = np.zeros((n_arcs, n_arcs))
     for i, j, value in operator_entries(inst):
         mat[i, j] = float(value)
-    sign = float(coin_sign(inst.phase))
+    sign = float(inst.phase)
     weights = [2.0 / inst.tilde_degree(v) for v in inst.boundary]
     unit_sources = np.zeros((n_arcs, inst.r))
     for j, v in enumerate(inst.boundary):

@@ -37,16 +37,6 @@ class ArcField:
     def items(self):
         return self.values.items()
 
-    def __eq__(self, other):
-        if not isinstance(other, ArcField):
-            return NotImplemented
-        return self.graph == other.graph and self.values == other.values
-
-
-def coin_sign(phase):
-    """The global sign applied by the internal coin: -1 for phase -1."""
-    return rat(-1) if phase == -1 else RAT_ONE
-
 
 def operator_entries(inst):
     """The nonzero entries (i, j, value) of E, row by row: for arc
@@ -55,7 +45,7 @@ def operator_entries(inst):
     The two exact coin weights of each vertex are computed once and
     shared by its entries."""
     g = inst.graph
-    eps = coin_sign(inst.phase)
+    eps = inst.phase
     weights = {}
     for u in range(1, g.n + 1):
         w = rat(2, inst.tilde_degree(u))
@@ -81,7 +71,7 @@ def internal_operator(inst):
 def source_vector(inst):
     """rho = one coin application to the constant inflow, on internal arcs."""
     g = inst.graph
-    eps = coin_sign(inst.phase)
+    eps = inst.phase
     rho = [RAT_ZERO] * len(g.arcs)
     for j, v in enumerate(inst.boundary):
         w = eps * rat(2, inst.tilde_degree(v)) * inst.inflow[j]

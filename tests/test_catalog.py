@@ -9,7 +9,7 @@ import grwalk.catalog as catalog
 import grwalk.cli as cli
 import grwalk.stationary as stationary
 from grwalk.catalog import analyze, gamma_graphs, rank, standard_sweep
-from grwalk.factors import closed_form_comfort
+from grwalk.factors import FactorMismatchError, closed_form_comfort
 from grwalk.graphs import (Graph, WalkInstance, bipartition, canonical_form,
                            complete_graph, cycle_graph, enumerate_connected,
                            standard_instance, vertex_pairs)
@@ -344,3 +344,19 @@ def test_selftest_registry_and_cli_exit(monkeypatch, capsys):
     assert cli.cmd_selftest(FakeArgs()) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "raised ZeroDivisionError" in out
+
+    # A failed check is a FAIL line; a programming error propagates.
+    def mismatch(sweep):
+        raise FactorMismatchError("chi1", 16, 15)
+
+    monkeypatch.setattr(catalog, "SELFTEST_SUITES",
+                        stub_pass + [("epsilon", mismatch)])
+    results = catalog.selftest()
+    assert [r.ok for r in results] == [True, True, False]
+    assert results[-1].detail.startswith("raised FactorMismatchError")
+    for error, suite in [(TypeError, lambda sweep: len(sweep)),
+                         (AttributeError, lambda sweep: sweep.records)]:
+        monkeypatch.setattr(catalog, "SELFTEST_SUITES",
+                            stub_pass + [("zeta", suite)])
+        with pytest.raises(error):
+            catalog.selftest()

@@ -3,17 +3,18 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from test_ratlin import (_reference_solve_min_norm_many,
                          corrupt_first_kernel_vector, zero_gram_coefficients)
 from test_simulate import _grid_graph, _petersen_graph
 
 from grwalk.catalog import standard_sweep
-from grwalk.graphs import (Graph, WalkInstance, bipartition, complete_graph,
-                           cycle_graph, enumerate_connected, path_graph,
-                           standard_instance, star_graph)
+from grwalk.graphs import (Graph, WalkInstance, _GraphMemo, bipartition,
+                           complete_graph, cycle_graph, enumerate_connected,
+                           path_graph, standard_instance, star_graph)
 from grwalk.ratlin import RatMatrix, rat
-from grwalk.stationary import (ArcField, coin_sign, comfortability_direct,
+from grwalk.stationary import (ArcField, comfortability_direct,
                                internal_operator, outflow,
                                predicted_scattering, scattering,
                                source_vector, stationary_state,
@@ -328,7 +329,7 @@ def _reference_unit_states(inst):
 def _reference_outflow(inst, psi, inflow=None):
     """outflow with one Fraction per term."""
     g = inst.graph
-    eps = coin_sign(inst.phase)
+    eps = inst.phase
     alpha = inst.inflow if inflow is None else tuple(rat(a) for a in inflow)
     beta = []
     for j, v in enumerate(inst.boundary):
@@ -409,22 +410,170 @@ def test_stationary_state_equals_direct_reference(z):
         assert all(type(x) is Fraction for x in psi.values.values())
 
 
+def _random_connected(rng, n, m_max):
+    """A seeded connected graph on n vertices with at most m_max edges: a
+    random tree (vertex v joined to an earlier vertex) plus random pairs."""
+    tree = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+    others = [p for p in itertools.combinations(range(1, n + 1), 2)
+              if p not in tree]
+    extra = rng.sample(others, rng.randint(0, min(len(others),
+                                                  m_max - len(tree))))
+    return Graph(n, sorted(tree | set(extra)))
+
+
+def _confined_basis(g, z):
+    """Integer fields on g's arcs, read off the memo's BFS tree with no
+    elimination: one closed walk root -> u -> v -> root along the tree per
+    non-tree edge (u, v).  At z = +1 each step of a walk adds +1 on its
+    arc and -1 on the reverse arc; at z = -1 step i adds (-1)^i on both.
+    At z = -1 on a non-bipartite graph the memo's odd_edge gets no field
+    of its own: its walk is appended to every walk of odd length, so that
+    the signs alternate around every closed walk."""
+    _, parent, _, odd_edge = _GraphMemo(g).coloring
+
+    def up(x):                      # x, its parent, ..., the root
+        path = [x]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path
+
+    chords = [(u, v) for u, v in g.edges
+              if parent[u] != v and parent[v] != u]
+    walks = [up(u)[::-1] + up(v) for u, v in chords]
+    if z == -1 and odd_edge is not None:
+        odd = walks.pop(chords.index(odd_edge))
+        walks = [w if len(w) % 2 else w + odd[1:] for w in walks]
+    basis = []
+    for w in walks:
+        k = [0] * (2 * g.m)
+        for i, arc in enumerate(zip(w, w[1:])):
+            sign = 1 if z == 1 else (-1) ** i
+            k[g.arc_index(arc)] += sign
+            k[g.arc_index(arc[::-1])] -= z * sign
+        basis.append(k)
+    return basis
+
+
+def _assert_confined_basis(inst, dim):
+    """_confined_basis spans ker(I - E), of dimension ``dim``, and every
+    unit stationary state is orthogonal to it."""
+    g, z = inst.graph, inst.phase
+    basis = _confined_basis(g, z)
+    e = internal_operator(inst)
+    states = [psi.vector() for psi in unit_stationary_states(inst)]
+    for k in basis:
+        # Graph-only conditions: no inflow at any vertex, and the coin
+        # reflects each arc onto its reverse with sign z.  Together they
+        # give (I - E) k = 0 whatever the boundary.
+        for u in range(1, g.n + 1):
+            assert sum(k[g.arc_index((x, u))] for x in g.neighbors(u)) == 0
+        assert all(k[g.arc_index((u, t))] == -z * k[g.arc_index((t, u))]
+                   for u, t in g.arcs)
+        assert e.mul_vec(k) == k
+        assert all(sum(a * b for a, b in zip(psi, k)) == 0 for psi in states)
+    assert len(basis) == dim
+    assert not basis or RatMatrix(basis).rank() == dim
+
+
 def test_confined_state_count_is_the_cycle_rank():
     # dim ker(I - E) = b1 = m - n + 1 at z = +1, one less at z = -1 on a
-    # non-bipartite graph: every connected graph with n <= 5.
+    # non-bipartite graph, and _confined_basis is a basis of it: every
+    # connected graph with n <= 5, then seeded random graphs with n = 6..8.
     rng = random.Random(4)
-    cases = 0
+    cases = []
     for n in range(2, 6):
         for g in enumerate_connected(n):
-            b1 = g.m - n + 1
             boundary = tuple(rng.sample(range(1, n + 1), rng.randint(1, n)))
             for z in (-1, 1):
-                inst = WalkInstance(g, boundary, (rat(1),) * len(boundary), z)
-                dim = 2 * g.m - _reference_fixed_point_matrix(inst).rank()
-                odd = z == -1 and bipartition(g) is None
-                assert dim == b1 - odd
-                cases += 1
-    assert cases == 1542
+                cases.append(WalkInstance(g, boundary,
+                                          (rat(1),) * len(boundary), z))
+    assert len(cases) == 1542
+    rng = random.Random(20)
+    for _ in range(100):
+        g = _random_connected(rng, rng.randint(6, 8), 20)
+        cases += [_random_instance(rng, g, z) for z in (-1, 1)]
+    for inst in cases:
+        g = inst.graph
+        dim = 2 * g.m - _reference_fixed_point_matrix(inst).rank()
+        odd = inst.phase == -1 and bipartition(g) is None
+        assert dim == g.m - g.n + 1 - odd
+        _assert_confined_basis(inst, dim)
+
+
+def _float_min_norm(inst):
+    """numpy's least-squares solution of (I - E) x = rho in float64, the
+    minimum-norm one, from an SVD that shares nothing with the exact
+    elimination; and the rank it found.  Singular values below 1e-10
+    times the largest count as zero.  numpy's default cutoff, 1.3e-14 on
+    a 7-vertex, 15-edge graph, kept a kernel direction whose singular
+    value came out at 1.4e-14, and missed psi by 2-5% at both phases."""
+    e = np.array([[float(x) for x in row]
+                  for row in internal_operator(inst).data])
+    rho = np.array([float(x) for x in source_vector(inst)])
+    x, _, rank, _ = np.linalg.lstsq(np.eye(len(rho)) - e, rho, rcond=1e-10)
+    return x, rank
+
+
+def test_float_min_norm_oracle_equals_the_exact_state():
+    # Every ordered standard pair with n <= 4 at both phases, then seeded
+    # random graphs with n = 6..8 and 2m <= 40 (lstsq slows down sharply
+    # on larger systems under multi-threaded BLAS) with rational inflows.
+    cases = [standard_instance(g, u, v, z) for z in (-1, 1)
+             for n in range(2, 5) for g in enumerate_connected(n)
+             for u, v in itertools.permutations(range(1, n + 1), 2)]
+    assert len(cases) == 964
+    rng = random.Random(18)
+    for _ in range(50):
+        g = _random_connected(rng, rng.randint(6, 8), 20)
+        cases += [_random_instance(rng, g, z) for z in (-1, 1)]
+    shifted = 0
+    for inst in cases:
+        psi = stationary_state(inst).vector()
+        exact = np.array([float(x) for x in psi])
+        x, rank = _float_min_norm(inst)
+        assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
+        basis = _confined_basis(inst.graph, inst.phase)
+        assert rank == len(psi) - len(basis)
+        if basis:
+            # psi + k solves the same equation exactly, so only the
+            # minimum-norm property tells it from psi.
+            moved = [a + b for a, b in zip(psi, basis[0])]
+            rho = source_vector(inst)
+            assert [a + b for a, b in zip(
+                internal_operator(inst).mul_vec(moved), rho)] == moved
+            assert np.max(np.abs(x - np.array(moved, dtype=float))) > 1e-3
+            shifted += 1
+    assert shifted > 0
+
+
+def test_quadratic_pencil_identity():
+    # det(xI - zE) (x^2 - 1)^n = (x^2 - 1)^m det(P(x)), where
+    # P(x) = x^2 I - 2x D~^-1 M + 2 D D~^-1 - I, with D the internal and
+    # D~ the tailed degrees and M the adjacency matrix: every connected
+    # graph with n <= 4 at both phases, a seeded boundary each, at
+    # 2m + 2n + 1 seeded rational points.
+    rng = random.Random(12)
+    points = 0
+    for n in range(2, 5):
+        for g in enumerate_connected(n):
+            for z in (-1, 1):
+                inst = _random_instance(rng, g, z)
+                e = internal_operator(inst).data
+                tilde = [inst.tilde_degree(v) for v in range(1, n + 1)]
+                for _ in range(2 * g.m + 2 * n + 1):
+                    x = rat(rng.randint(-9, 9), rng.randint(1, 9))
+                    shifted = RatMatrix([[(x if i == j else 0) - z * a
+                                          for j, a in enumerate(row)]
+                                         for i, row in enumerate(e)])
+                    pencil = RatMatrix([[
+                        x * x + rat(2 * g.degree(u), tilde[u - 1]) - 1
+                        if u == v else
+                        -2 * x / tilde[u - 1] if v in g.neighbors(u) else 0
+                        for v in range(1, n + 1)] for u in range(1, n + 1)])
+                    assert shifted.det() * (x * x - 1) ** n == \
+                        (x * x - 1) ** g.m * pencil.det()
+                    points += 1
+    assert points == 1366
 
 
 @pytest.mark.parametrize("solve", [unit_stationary_states, stationary_state])
