@@ -13,20 +13,21 @@ constant inflow alpha at every step, so a step is psi <- E psi + S alpha
 with the source S alpha computed once.  An outbound tail arc at depth d
 holds what the boundary coin sent out d + 1 steps earlier; ``amplitudes``
 derives it from the internal vector of that earlier state, so a state is
-its own vector, the vectors before it (oldest first) and its step index.
+its own vector and the last ``horizon`` vectors before it, oldest first.
 
 ``simulate`` keeps a trajectory in one float64 buffer, row k the vector
-after k steps.  Step 1 goes through the public ``step``; every later row
-is the same matrix-vector product and sum written in place, so the rows
-are bit for bit what stepping state after state gives, and the one
-``TruncatedState`` it builds, at the end, views the buffer as its
-history.  Often the float trajectory lands on an exact cycle: at the end
-of a block of steps, the last row has the bits of a row p <= 64 steps
-earlier.  A step is a function of the bits of its input vector alone, so
-from there on every row is the row p before it, and the rest of the run
-is copied instead of computed, its residuals repeated.  The comparison is
-on the bits, not with ``==``: -0.0 == +0.0, yet the two may lead to
-different later vectors, and a NaN never equals itself.
+after k steps, grown in place as the run goes on.  Step 1 goes through
+the public ``step``; every later row is the same matrix-vector product
+and sum written in place, so the rows are bit for bit what stepping
+state after state gives, and the one ``TruncatedState`` it builds, at
+the end, views the buffer's last rows as its history.  Often the float
+trajectory lands on an exact cycle: at the end of a block of steps, the
+last row has the bits of a row p <= 64 steps earlier.  A step is a
+function of the bits of its input vector alone, so from there on every
+row is the row p before it, and the rest of the run is copied instead of
+computed, its residuals repeated.  The comparison is on the bits, not
+with ``==``: -0.0 == +0.0, yet the two may lead to different later
+vectors, and a NaN never equals itself.
 
 Tail vertices are labelled ("t", j, d): depth d >= 1 on the tail attached
 to the j-th boundary vertex.
@@ -46,7 +47,7 @@ from .stationary import operator_entries
 # Steps per vectorised residual pass and cycle check in ``simulate``, and
 # the longest period the check finds.
 _BLOCK = 64
-# Trajectory buffer rows a run that may stop early starts with.
+# Trajectory buffer rows a run starts with; it doubles as it fills.
 _FIRST_ROWS = 1024
 # Moduli at or above this count as on the unit circle (confined states).
 _UNIT_CIRCLE = 1.0 - 1e-9
@@ -93,17 +94,15 @@ class TruncatedState:
 
     Only the internal arcs are stored; the tail arcs are derived in
     ``amplitudes`` from the inflow and from earlier internal vectors.
-    ``history[:t]`` holds the vectors of the t states before this one,
-    oldest first, of which ``amplitudes`` uses the last ``horizon``: a list
-    that the states of a ``step`` trajectory share, reading only its first
-    t entries, or the rows of ``simulate``'s trajectory buffer.
+    ``history`` holds the vectors of the last ``horizon`` states before
+    this one (fewer in the first steps), oldest first: a list of its own
+    after ``step``, or rows of ``simulate``'s trajectory buffer.
     """
 
     instance: object
     horizon: int
     internal: np.ndarray            # indexed by the graph's arc order
     history: object = field(repr=False, compare=False)  # list or 2-D array
-    t: int                          # steps taken from the zero start
     operator: tuple = field(repr=False, compare=False)
 
     @classmethod
@@ -111,21 +110,21 @@ class TruncatedState:
         """The constant-inflow start: alpha_j on every inbound tail arc."""
         if horizon < 1:
             raise ValueError("the tail horizon must be at least 1")
-        return cls(inst, horizon, np.zeros(2 * inst.graph.m), [], 0,
+        return cls(inst, horizon, np.zeros(2 * inst.graph.m), [],
                    _float_operator(inst))
 
     def amplitudes(self):
         """Amplitude of every arc of the truncated tailed graph."""
         g = self.instance.graph
         out = {a: self.internal[i] for i, a in enumerate(g.arcs)}
-        op = self.operator
+        op, history = self.operator, self.history
         for j, v in enumerate(self.instance.boundary):
             nodes = [v] + [("t", j, d) for d in range(1, self.horizon + 1)]
             for d in range(self.horizon):
                 out[(nodes[d + 1], nodes[d])] = op.alpha[j]
                 out[(nodes[d], nodes[d + 1])] = (
-                    _boundary_out(op, self.history[self.t - 1 - d], j)
-                    if d < self.t else _ZERO)
+                    _boundary_out(op, history[-1 - d], j)
+                    if d < len(history) else _ZERO)
         return out
 
 
@@ -141,18 +140,12 @@ def _boundary_out(op, internal, j):
 def step(state, inst):
     """One application of the time evolution: signed Grover coins at the
     internal vertices fed by the constant inflow.  ``inst`` must be the
-    state's instance.  The new state appends ``state.internal`` to the
-    shared history list; a state stepped a second time, or one whose
-    history is ``simulate``'s buffer, gives its successor a list of its
-    own t entries instead (see ``TruncatedState``)."""
+    state's instance.  The new state's history is a list of its own, the
+    last ``horizon`` vectors of ``[*state.history, state.internal]``."""
     op = state.operator
-    history = state.history
-    if not isinstance(history, list) or len(history) != state.t:
-        history = list(history[:state.t])
-    history.append(state.internal)
+    history = [*state.history, state.internal][-state.horizon:]
     return TruncatedState(inst, state.horizon,
-                          op.mat @ state.internal + op.source, history,
-                          state.t + 1, op)
+                          op.mat @ state.internal + op.source, history, op)
 
 
 @dataclass
@@ -160,12 +153,13 @@ class SimulationTrace:
     """Per-step internal snapshots, successive-step residuals, final state.
 
     ``snapshots`` views the run's one buffer: row k - 1 is the vector after
-    step k, and ``final.history`` views the same rows.  From step
-    ``cycle_start`` on, the vector of step k + ``cycle_period`` has the
-    bits of the vector of step k, so the rows and residuals past the first
-    repeat were copied, not computed.  Both are None when the residual
-    stopped the run first, or no repeat with a period of at most 64 steps
-    showed at the end of a 64-step block.
+    step k, and ``final.history`` views the rows of the last ``horizon``
+    states before the final one.  From step ``cycle_start`` on, the vector
+    of step k + ``cycle_period`` has the bits of the vector of step k, so
+    the rows and residuals past the first repeat were copied, not
+    computed.  Both are None when the residual stopped the run first, or
+    no repeat with a period of at most 64 steps showed at the end of a
+    64-step block.
     """
 
     instance: object
@@ -197,10 +191,8 @@ def simulate(inst, steps, horizon=None, exact=None, residual_stop=1e-10):
         horizon = steps + 2
     first = step(TruncatedState.initial(inst, horizon), inst)
     op = first.operator
-    mat, source = op.mat, op.source
-    # A run that cannot stop early fills every row, so it gets them at once.
-    rows = steps + 1 if residual_stop is None else min(steps, _FIRST_ROWS) + 1
-    buf = np.empty((rows, first.internal.size))
+    width = first.internal.size
+    buf = np.empty((min(steps, _FIRST_ROWS) + 1, width))
     buf[0] = 0.0
     buf[1] = first.internal
     residuals = []
@@ -209,11 +201,8 @@ def simulate(inst, steps, horizon=None, exact=None, residual_stop=1e-10):
     while t < steps and converged_at is None and cycle is None:
         end = min(t + _BLOCK, steps)
         if end >= len(buf):
-            buf = _grown(buf, min(steps + 1, 2 * len(buf)), t)
-        # step's product (the same dgemv as ``@``) and sum, in place
-        for prev, row in itertools.pairwise(buf[max(t, 1):end + 1]):
-            np.dot(mat, prev, row)
-            np.add(row, source, row)
+            buf.resize((min(steps + 1, 2 * len(buf)), width))
+        _fill(buf, op, max(t, 1), end)
         res = np.abs(np.diff(buf[t:end + 1], axis=0)).max(axis=1).tolist()
         hit = _first_below(res, residual_stop)
         if hit is not None:
@@ -230,11 +219,12 @@ def simulate(inst, steps, horizon=None, exact=None, residual_stop=1e-10):
         end = steps if hit is None else t + hit + 1
         converged_at = None if hit is None else end
         if end >= len(buf):
-            buf = _grown(buf, end + 1, t)
+            buf.resize((end + 1, width))
         _repeat_rows(buf, t, end, period)
         residuals.extend(itertools.islice(itertools.cycle(repeat), end - t))
         t = end
-    final = TruncatedState(inst, horizon, buf[t].copy(), buf[:t], t, op)
+    final = TruncatedState(inst, horizon, buf[t].copy(),
+                           buf[max(0, t - horizon):t], op)
     distance = None
     if exact is not None:
         target = np.array([float(x) for x in exact.vector()])
@@ -243,11 +233,14 @@ def simulate(inst, steps, horizon=None, exact=None, residual_stop=1e-10):
                            distance, *(cycle or (None, None)))
 
 
-def _grown(buf, rows, t):
-    """A buffer of ``rows`` rows holding the first t + 1 rows of ``buf``."""
-    out = np.empty((rows, buf.shape[1]))
-    out[:t + 1] = buf[:t + 1]
-    return out
+def _fill(buf, op, lo, end):
+    """Rows lo + 1 .. end of ``buf``, each from the row before it by
+    ``step``'s product (the same dgemv as ``@``) and sum, in place.  The
+    row views die with this call, so ``simulate`` can resize ``buf``."""
+    mat, source = op.mat, op.source
+    for prev, row in itertools.pairwise(buf[lo:end + 1]):
+        np.dot(mat, prev, row)
+        np.add(row, source, row)
 
 
 def _first_below(residuals, stop):

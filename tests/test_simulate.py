@@ -547,3 +547,30 @@ def test_long_cycling_run_holds_only_its_snapshots():
         tracemalloc.stop()
     assert trace.steps == 200_000 and trace.cycle_period == 10
     assert peak <= trace.snapshots.nbytes + 8 * len(trace.residuals) + 2 ** 20
+
+
+def test_growing_run_holds_only_its_snapshots():
+    # 20k steps on the 3x4 grid with a threshold never reached: the buffer
+    # starts at 1025 rows and grows in place, so the peak never holds an
+    # old buffer beside a new one.
+    inst = standard_instance(_grid_graph(3, 4), 1, 12)
+    tracemalloc.start()
+    try:
+        trace = simulate(inst, 20_000, residual_stop=1e-300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.converged_at is None and trace.steps == 20_000
+    assert peak <= trace.snapshots.nbytes + 8 * len(trace.residuals) + 2 ** 20
+
+
+def test_stepped_state_keeps_only_its_horizon():
+    # 1000 steps at horizon 4 keep the 4 vectors the outbound tail arcs
+    # are read from, and give the reference amplitudes bit for bit.
+    inst = standard_instance(complete_graph(4), 1, 4)
+    state = TruncatedState.initial(inst, 4)
+    for _ in range(1000):
+        state = step(state, inst)
+    assert len(state.history) <= 4
+    want = _reference_simulate(inst, 1000, horizon=4, residual_stop=None)[2]
+    assert _same_amplitudes(state.amplitudes(), want.amplitudes())
