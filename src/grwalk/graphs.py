@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -36,6 +35,23 @@ class InstanceParseError(GraphError):
 def vertex_pairs(n):
     """All unordered vertex pairs on 1..n in lexicographic order."""
     return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+
+
+def _bfs(adj, root):
+    """Breadth-first search from ``root`` over the neighbour lists ``adj``:
+    (order, parent, depth), the vertices reached in visiting order, each
+    after its parent, with their search-tree parents (None at the root)
+    and their distances from root."""
+    order = [root]
+    parent = {root: None}
+    depth = {root: 0}
+    for u in order:                 # order grows as the search goes
+        for w in adj[u]:
+            if w not in depth:
+                parent[w] = u
+                depth[w] = depth[u] + 1
+                order.append(w)
+    return order, parent, depth
 
 
 class Graph:
@@ -71,22 +87,11 @@ class Graph:
             adj[v].append(u)
         # The edges are sorted, so each neighbour list is already ascending.
         self._adj = {v: tuple(ws) for v, ws in adj.items()}
-        if not self._connected():
+        if len(_bfs(self._adj, 1)[0]) < n:
             raise GraphError("disconnected graph")
         # The arcs are built on first use: a catalog sweep constructs many
         # graphs that it never solves.
         self._arcs = self._arc_index = None
-
-    def _connected(self):
-        seen = {1}
-        queue = deque([1])
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
 
     @property
     def m(self):
@@ -115,20 +120,10 @@ class Graph:
         return v in self._adj.get(u, ())
 
     def distance(self, u, v):
-        """Shortest-path distance, by breadth-first search."""
-        if u == v:
-            return 0
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    if y == v:
-                        return dist[y]
-                    queue.append(y)
-        raise GraphError(f"no path between {u} and {v}")
+        """Shortest-path distance, by breadth-first search from u."""
+        if u not in self._adj or v not in self._adj:
+            raise GraphError(f"vertex out of range in ({u}, {v})")
+        return _bfs(self._adj, u)[2][v]
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -184,7 +179,7 @@ class Bipartition:
 
 
 def _two_color(g):
-    """Breadth-first 2-colouring from vertex 1 (colour 0).
+    """Breadth-first 2-colouring from vertex 1: colour = depth parity.
 
     Returns (color, parent, order, odd_edge), all read-only: the colours,
     the spanning tree's parent links (None at the root), the visiting
@@ -192,18 +187,8 @@ def _two_color(g):
     edge of g.edges whose ends share a colour.  odd_edge is None exactly
     when g is bipartite; otherwise its tree paths close an odd cycle.
     """
-    color = {1: 0}
-    parent = {1: None}
-    order = []
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for w in g.neighbors(u):
-            if w not in color:
-                color[w] = 1 - color[u]
-                parent[w] = u
-                queue.append(w)
+    order, parent, depth = _bfs(g._adj, 1)
+    color = {v: d & 1 for v, d in depth.items()}
     odd_edge = next((e for e in g.edges if color[e[0]] == color[e[1]]), None)
     return (MappingProxyType(color), MappingProxyType(parent), tuple(order),
             odd_edge)
@@ -223,20 +208,13 @@ def odd_cycle_witness(g):
     _, parent, _, odd_edge = _GraphMemo(g).coloring
     if odd_edge is None:
         return None
-    u, v = odd_edge
-    path_u, path_v = [u], [v]
-    seen_u = {u: 0}
-    x = u
-    while parent[x] is not None:
-        x = parent[x]
-        seen_u[x] = len(path_u)
-        path_u.append(x)
-    x = v
-    while x not in seen_u:
-        x = parent[x]
-        path_v.append(x)
-    lca = path_v[-1]
-    return path_u[:seen_u[lca] + 1] + path_v[-2::-1]
+    # Adjacent vertices of one colour share a depth, so climbing both ends
+    # one parent per step, they first meet at their lowest common ancestor.
+    up, down = [odd_edge[0]], [odd_edge[1]]
+    while up[-1] != down[-1]:
+        up.append(parent[up[-1]])
+        down.append(parent[down[-1]])
+    return up + down[-2::-1]
 
 
 def _l_z(g, z):

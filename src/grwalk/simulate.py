@@ -192,6 +192,10 @@ def simulate(inst, steps, horizon=None, exact=None, residual_stop=1e-10):
     first = step(TruncatedState.initial(inst, horizon), inst)
     op = first.operator
     width = first.internal.size
+    # buf grows in place with refcheck=False, as a profile or trace hook
+    # makes the interpreter hold one more reference to it.  No view of buf
+    # is alive at a resize: those of _fill and _cycle die with their calls,
+    # res is a temporary, and the trace's views are made after the loop.
     buf = np.empty((min(steps, _FIRST_ROWS) + 1, width))
     buf[0] = 0.0
     buf[1] = first.internal
@@ -201,7 +205,7 @@ def simulate(inst, steps, horizon=None, exact=None, residual_stop=1e-10):
     while t < steps and converged_at is None and cycle is None:
         end = min(t + _BLOCK, steps)
         if end >= len(buf):
-            buf.resize((min(steps + 1, 2 * len(buf)), width))
+            buf.resize((min(steps + 1, 2 * len(buf)), width), refcheck=False)
         _fill(buf, op, max(t, 1), end)
         res = np.abs(np.diff(buf[t:end + 1], axis=0)).max(axis=1).tolist()
         hit = _first_below(res, residual_stop)
@@ -219,7 +223,7 @@ def simulate(inst, steps, horizon=None, exact=None, residual_stop=1e-10):
         end = steps if hit is None else t + hit + 1
         converged_at = None if hit is None else end
         if end >= len(buf):
-            buf.resize((end + 1, width))
+            buf.resize((end + 1, width), refcheck=False)
         _repeat_rows(buf, t, end, period)
         residuals.extend(itertools.islice(itertools.cycle(repeat), end - t))
         t = end

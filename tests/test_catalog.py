@@ -10,8 +10,9 @@ import grwalk.cli as cli
 import grwalk.stationary as stationary
 from grwalk.catalog import analyze, gamma_graphs, rank, standard_sweep
 from grwalk.factors import FactorMismatchError, closed_form_comfort
-from grwalk.graphs import (Graph, WalkInstance, bipartition, canonical_form,
-                           complete_graph, cycle_graph, enumerate_connected,
+from grwalk.graphs import (Graph, WalkInstance, _pair_bits, _relabelled_masks,
+                           bipartition, canonical_form, complete_graph,
+                           cycle_graph, enumerate_connected,
                            standard_instance, vertex_pairs)
 from grwalk.potential import bipartite_route, nonbipartite_route
 from grwalk.ratlin import RatMatrix, rat
@@ -182,6 +183,23 @@ def test_rank_shares_work_across_pairs_and_classes(monkeypatch):
                 if z == 1 and not bip:
                     want[g, -1] = n      # the z = -1 maximum orders classes
             assert Counter(closed) == want
+
+
+def test_first_member_of_each_class_is_its_canonical_form():
+    # enumerate_connected ascends by edge mask, so the first member of each
+    # isomorphism class that rank meets has the least mask of its orbit:
+    # its canonical form is its own mask.  All 142 classes with n <= 6.
+    classes = 0
+    for n in range(2, 7):
+        bits = _pair_bits(n)
+        seen = set()
+        for g in enumerate_connected(n):
+            mask = sum(bits[u][v] for u, v in g.edges)
+            if mask not in seen:
+                assert canonical_form(g) == mask
+                seen.update(_relabelled_masks(g))
+                classes += 1
+    assert classes == 142
 
 
 def test_tie_groups_are_descending():

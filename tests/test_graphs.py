@@ -1,6 +1,9 @@
 """Graph model, instance files, enumeration, canonical forms."""
+import random
 import time
+from collections import Counter
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +77,50 @@ def test_odd_cycle_witness():
     for a, b in zip(cycle, cycle[1:] + [cycle[0]]):
         assert g.has_edge(a, b)
     assert odd_cycle_witness(cycle_graph(4)) is None
+
+
+def test_traversal_matches_networkx_on_random_graphs():
+    # Seeded random graphs with n = 7..14, a third of them on the pairs
+    # across a random split (bipartite when connected), against networkx:
+    # connectivity, every distance, bipartiteness and the odd cycle.
+    rng = random.Random(28)
+    kinds = Counter()
+    for _ in range(300):
+        n = rng.randint(7, 14)
+        side = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+        split = rng.random() < 1 / 3
+        p = rng.uniform(0.15, 0.6)
+        edges = [(u, v) for u, v in vertex_pairs(n)
+                 if (not split or side[u] != side[v]) and rng.random() < p]
+        ref = nx.Graph(edges)
+        ref.add_nodes_from(range(1, n + 1))
+        if not nx.is_connected(ref):
+            with pytest.raises(GraphError, match="disconnected"):
+                Graph(n, edges)
+            kinds["disconnected"] += 1
+            continue
+        g = Graph(n, edges)
+        for u, lengths in nx.shortest_path_length(ref):
+            assert {v: g.distance(u, v) for v in lengths} == lengths
+        part, cycle = bipartition(g), odd_cycle_witness(g)
+        if nx.is_bipartite(ref):
+            assert part is not None and cycle is None
+            assert all(part.side(u) != part.side(v) for u, v in g.edges)
+            kinds["bipartite"] += 1
+        else:
+            assert part is None
+            assert len(cycle) % 2 == 1 and len(set(cycle)) == len(cycle)
+            assert all(g.has_edge(a, b)
+                       for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+            kinds["odd"] += 1
+    assert min(kinds[k] for k in ("disconnected", "bipartite", "odd")) >= 30
+
+
+def test_distance_rejects_vertices_out_of_range():
+    g = path_graph(4)
+    for u, v in ((0, 1), (1, 0), (5, 1), (1, 5), (99, 99)):
+        with pytest.raises(GraphError, match="out of range"):
+            g.distance(u, v)
 
 
 def test_enumerate_connected_counts():

@@ -2,6 +2,7 @@
 import csv
 import itertools
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -562,6 +563,31 @@ def test_growing_run_holds_only_its_snapshots():
         tracemalloc.stop()
     assert trace.converged_at is None and trace.steps == 20_000
     assert peak <= trace.snapshots.nbytes + 8 * len(trace.residuals) + 2 ** 20
+
+
+@pytest.mark.parametrize("hook, current",
+                         [(sys.setprofile, sys.getprofile),
+                          (sys.settrace, sys.gettrace)],
+                         ids=["setprofile", "settrace"])
+def test_growing_runs_under_a_profile_or_trace_hook(hook, current):
+    # A profile or trace hook makes the interpreter hold one more reference
+    # to the trajectory buffer while it grows.  C6 (1, 4) grows once it
+    # has found its cycle, the 3x4 grid by doubling; each hooked run
+    # equals the unhooked one bit for bit.
+    for inst, steps in ((standard_instance(cycle_graph(6), 1, 4), 3000),
+                        (standard_instance(_grid_graph(3, 4), 1, 12), 2500)):
+        plain = simulate(inst, steps, residual_stop=None)
+        previous = current()
+        hook(lambda frame, event, arg: None)
+        try:
+            hooked = simulate(inst, steps, residual_stop=None)
+        finally:
+            hook(previous)
+        assert (hooked.cycle_start, hooked.cycle_period) == \
+            (plain.cycle_start, plain.cycle_period)
+        _assert_same_trace(hooked, (plain.snapshots, plain.residuals,
+                                    plain.final, plain.converged_at,
+                                    plain.final_distance))
 
 
 def test_stepped_state_keeps_only_its_horizon():

@@ -515,20 +515,26 @@ def _float_min_norm(inst):
 
 
 def test_float_min_norm_oracle_equals_the_exact_state():
-    # Every ordered standard pair with n <= 4 at both phases, then seeded
-    # random graphs with n = 6..8 and with n = 9..12, all with 2m <= 40
-    # (lstsq slows down sharply on larger systems under multi-threaded
-    # BLAS) and rational inflows.
+    # Every ordered standard pair with n <= 4 at both phases; every 8th
+    # graph with n = 5, on every unordered pair with both unit inflows at
+    # both phases; then seeded random graphs with n = 6..8 and with
+    # n = 9..12, all with 2m <= 40 (lstsq slows down sharply on larger
+    # systems under multi-threaded BLAS) and rational inflows.
     cases = [standard_instance(g, u, v, z) for z in (-1, 1)
              for n in range(2, 5) for g in enumerate_connected(n)
              for u, v in itertools.permutations(range(1, n + 1), 2)]
     assert len(cases) == 964
+    cases += [WalkInstance(g, pair, inflow, z) for z in (-1, 1)
+              for g in enumerate_connected(5)[::8]
+              for pair in itertools.combinations(range(1, 6), 2)
+              for inflow in ((rat(1), rat(0)), (rat(0), rat(1)))]
+    assert len(cases) == 964 + 3640
     rng = random.Random(18)
     for lo, hi, count in ((6, 8, 50), (9, 12, 20)):
         for _ in range(count):
             g = _random_connected(rng, rng.randint(lo, hi), 20)
             cases += [_random_instance(rng, g, z) for z in (-1, 1)]
-    assert len(cases) == 964 + 100 + 40
+    assert len(cases) == 964 + 3640 + 100 + 40
     shifted = 0
     for inst in cases:
         psi = stationary_state(inst).vector()
