@@ -58,7 +58,6 @@ class Configuration:
     psi: object
     comfort: object
     beta: tuple
-    label: str
 
 
 def standard_sweep(n, z=-1):
@@ -70,7 +69,6 @@ def standard_sweep(n, z=-1):
     configurations share its matrix reduction.
     """
     for g in enumerate_connected(n):
-        lab = scattering_label(g, z)
         for u, v in combinations(range(1, n + 1), 2):
             inst = standard_instance(g, u, v, z)
             states = unit_stationary_states(inst)
@@ -83,7 +81,7 @@ def standard_sweep(n, z=-1):
                 beta = (sigma[k][k], sigma[1 - k][k])
                 configs.append(Configuration(g, pair, psi,
                                              comfortability_direct(psi),
-                                             beta, lab))
+                                             beta))
             yield g, (u, v), configs, report
 
 
@@ -251,7 +249,6 @@ def _agree(routes):
 
 @dataclass
 class AnalysisReport:
-    instance: object
     bipartite: bool
     partition: object             # Bipartition or None
     odd_cycle: object             # witness cycle or None
@@ -295,7 +292,7 @@ def analyze(inst, simulate_steps=None):
                       "predicted_steps": predicted,
                       "cycle_start": trace.cycle_start,
                       "cycle_period": trace.cycle_period}
-    return AnalysisReport(inst, part is not None, part,
+    return AnalysisReport(part is not None, part,
                           None if part else odd_cycle_witness(g),
                           psi, routes, _agree(routes), report.beta,
                           report.sigma, report.classification,

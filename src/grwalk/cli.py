@@ -223,8 +223,13 @@ def cmd_simulate(args):
     finished = False
     try:
         exact = stationary_state(inst)
-        trace = simulate(inst, args.steps, exact=exact,
-                         residual_stop=args.residual_stop)
+        try:                            # the trace grows with --steps
+            trace = simulate(inst, args.steps, exact=exact,
+                             residual_stop=args.residual_stop)
+        except MemoryError:
+            print(f"error: {args.file}: the trace of {args.steps} steps "
+                  f"does not fit in memory", file=sys.stderr)
+            return 2
         rate, predicted = contraction_rate(inst, args.residual_stop)
         if out:
             with out:

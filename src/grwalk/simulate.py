@@ -217,16 +217,14 @@ def simulate(inst, steps, horizon=None, exact=None, residual_stop=1e-10):
         if converged_at is None:
             cycle = _cycle(buf, t)
     if cycle is not None and t < steps:
+        # Copied to the end: a cycle found before ``steps`` ends a full
+        # block with no residual below the stop, and a period fits in it.
         period = cycle[1]
         repeat = residuals[t - period:t]    # those of steps t+1 .. t+period
-        hit = _first_below(repeat[:steps - t], residual_stop)
-        end = steps if hit is None else t + hit + 1
-        converged_at = None if hit is None else end
-        if end >= len(buf):
-            buf.resize((end + 1, width), refcheck=False)
-        _repeat_rows(buf, t, end, period)
-        residuals.extend(itertools.islice(itertools.cycle(repeat), end - t))
-        t = end
+        buf.resize((steps + 1, width), refcheck=False)
+        _repeat_rows(buf, t, steps, period)
+        residuals.extend(itertools.islice(itertools.cycle(repeat), steps - t))
+        t = steps
     final = TruncatedState(inst, horizon, buf[t].copy(),
                            buf[max(0, t - horizon):t], op)
     distance = None

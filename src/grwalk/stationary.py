@@ -135,17 +135,6 @@ def comfortability_direct(psi):
     return rat_dot(values, values, 2)
 
 
-def boundary_sort_order(inst):
-    """Boundary indices reordered X-side first (stable), for a bipartite
-    internal graph; identity order when non-bipartite."""
-    part = bipartition(inst.graph)
-    if part is None:
-        return list(range(inst.r))
-    xs = [j for j, v in enumerate(inst.boundary) if v in part.X]
-    ys = [j for j, v in enumerate(inst.boundary) if v in part.Y]
-    return xs + ys
-
-
 def predicted_scattering(inst):
     """The scattering matrix predicted by the surface theorem, in the
     basis with the X-side boundary vertices first.
@@ -170,12 +159,10 @@ def predicted_scattering(inst):
 class ScatteringReport:
     """Scattering matrix, outflow, and the surface-theorem comparison."""
 
-    alpha: tuple
     beta: tuple
     sigma: RatMatrix          # in the user-declared boundary order
     sigma_sorted: RatMatrix   # conjugated into the X-side-first basis
     predicted: RatMatrix      # the surface theorem's tau, X-side first
-    sort_order: list
     orthogonal: bool
     matches_prediction: bool  # sigma_sorted == predicted
     classification: str       # read off tau and the inflow
@@ -210,7 +197,11 @@ def scattering(inst, unit_states=None):
     sigma = RatMatrix([list(row) for row in zip(*columns)])
     beta = tuple(sigma.mul_vec(list(inst.inflow)))
     orth = (sigma.transpose() * sigma).is_identity()
-    order = boundary_sort_order(inst)
+    # X side first, each side in boundary order; the identity order when
+    # the internal graph is not bipartite.
+    part = bipartition(inst.graph)
+    order = sorted(range(r), key=lambda j: part is not None
+                   and inst.boundary[j] in part.Y)
     sigma_sorted = RatMatrix([[sigma.data[i][j] for j in order]
                               for i in order])
     predicted = predicted_scattering(inst)
@@ -221,9 +212,8 @@ def scattering(inst, unit_states=None):
         classification = "degenerate-identity"
     else:
         classification = "bipartite-tau" if inst.phase == -1 else "grover"
-    return ScatteringReport(tuple(inst.inflow), beta, sigma, sigma_sorted,
-                            predicted, order, orth, sigma_sorted == predicted,
-                            classification)
+    return ScatteringReport(beta, sigma, sigma_sorted, predicted, orth,
+                            sigma_sorted == predicted, classification)
 
 
 def with_inflow(inst, inflow):

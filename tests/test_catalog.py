@@ -378,3 +378,38 @@ def test_selftest_registry_and_cli_exit(monkeypatch, capsys):
                             stub_pass + [("zeta", suite)])
         with pytest.raises(error):
             catalog.selftest()
+
+
+def _no_sweep():
+    raise AssertionError("this suite must not sweep the catalog")
+
+
+# The detail line of each self-test suite that does not read the sweep.
+_SWEEPLESS_SUITES = {
+    "worked-values":
+        "classes=['5/12', '3/4', '1/2', '19/16', '5/4', '7/4', '3/4', '1', "
+        "'5/4', '3/2'] labels=['R', 'R', 'R', 'T', 'T', 'R', 'R', 'T', 'T', "
+        "'T']",
+    "factor-oracles": "771 graphs, 0 oracle mismatches",
+    "incidence-determinants": "odd cycles give +-2, even cycles give 0",
+}
+
+
+@pytest.mark.parametrize("name", _SWEEPLESS_SUITES)
+def test_suites_without_the_sweep(name):
+    suite = dict(catalog.SELFTEST_SUITES)[name]
+    assert suite(_no_sweep) == (True, _SWEEPLESS_SUITES[name])
+
+
+def test_factor_oracle_suite_counts_a_mismatching_graph(monkeypatch):
+    # Only K4 mismatches: one graph of 771, however many pairs it has.
+    real = catalog.two_forest_count
+
+    def mismatch_on_k4(g, u, v, method="both"):
+        if (g.n, g.m) == (4, 6):
+            raise FactorMismatchError("chi2", 8, 7)
+        return real(g, u, v, method=method)
+
+    monkeypatch.setattr(catalog, "two_forest_count", mismatch_on_k4)
+    suite = dict(catalog.SELFTEST_SUITES)["factor-oracles"]
+    assert suite(_no_sweep) == (False, "771 graphs, 1 oracle mismatches")

@@ -9,6 +9,7 @@ import grwalk.cli as cli
 import grwalk.stationary as stationary
 from grwalk.cli import main
 from grwalk.graphs import parse_instance
+from grwalk.potential import AuditReport
 from grwalk.ratlin import RatMatrix, parse_rational, rat
 from grwalk.stationary import ArcField
 
@@ -91,6 +92,24 @@ def test_analyze_human_scattering_mismatch(k4_file, monkeypatch, capsys):
     assert main(["analyze", k4_file, "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["scattering_ok"] is False and data["ok"] is False
+
+
+def test_analyze_kirchhoff_audit_failure(k4_file, monkeypatch, capsys):
+    def failing_audit(inst, psi):
+        report = AuditReport(bipartite=False)
+        report.add("arc symmetry", True)
+        report.add("current law at vertices", False)
+        return report
+
+    monkeypatch.setattr(catalog, "kirchhoff_audit", failing_audit)
+    assert main(["analyze", k4_file]) == 1
+    out = capsys.readouterr().out
+    assert "Kirchhoff audit FAILED: current law at vertices\n" in out
+    assert "routes agree" in out and "SCATTERING MISMATCH" not in out
+    assert main(["analyze", k4_file, "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["audit_ok"] is False and data["ok"] is False
+    assert data["routes_agree"] is True and data["scattering_ok"] is True
 
 
 @pytest.mark.parametrize("route, text", [("bipartite_route", C4),
@@ -317,6 +336,24 @@ def test_simulate_failed_run_leaves_no_out_file(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == "" and "float" in captured.err
     assert not (tmp_path / "h.csv").exists()
+
+
+def test_simulate_trace_beyond_memory_exits_2(c4_file, tmp_path, capsys,
+                                             monkeypatch):
+    # A trace too large to allocate: one error line and exit 2, not a
+    # traceback, and the --out file opened before the run is removed.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate memory for array")
+
+    monkeypatch.setattr(cli, "simulate", out_of_memory)
+    out_csv = tmp_path / "trace.csv"
+    assert main(["simulate", c4_file, "--steps", "1000000000",
+                 "--residual-stop", "0", "--out", str(out_csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {c4_file}: the trace of 1000000000 "
+                            f"steps does not fit in memory\n")
+    assert not out_csv.exists()
 
 
 def test_simulate_failed_write_leaves_no_out_file(c4_file, tmp_path, capsys,

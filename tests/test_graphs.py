@@ -1,5 +1,6 @@
 """Graph model, instance files, enumeration, canonical forms."""
 import random
+import re
 import time
 from collections import Counter
 
@@ -16,7 +17,9 @@ from grwalk.graphs import (Graph, GraphError, InstanceParseError,
                            standard_instance, star_graph, vertex_pairs)
 import grwalk.graphs as graphs_module
 from grwalk.catalog import analyze, rank, standard_sweep
-from grwalk.ratlin import rat
+from grwalk.potential import VertexField
+from grwalk.ratlin import RatMatrix, parse_rational, rat
+from grwalk.stationary import ArcField
 
 
 def test_graph_basics():
@@ -177,6 +180,42 @@ def test_walk_instance_validation():
     assert inst.r == 2
     assert inst.tilde_degree(1) == 2 and inst.tilde_degree(2) == 2
     assert inst.inflow_at(1) == rat(1) and inst.inflow_at(2) == rat(0)
+
+
+_P3 = path_graph(3)
+
+
+@pytest.mark.parametrize("make, error, fragment", [
+    (lambda: Graph(1, []), GraphError, "at least 2 vertices"),
+    (lambda: cycle_graph(2), GraphError, "at least 3 vertices"),
+    (lambda: bipartition(_P3).side(4), KeyError, "4"),
+    (lambda: enumerate_connected(7), GraphError, "2 <= n <= 6, got 7"),
+    (lambda: canonical_form(path_graph(9)), GraphError, "n <= 8"),
+    (lambda: WalkInstance(_P3, (), (), -1), GraphError,
+     "boundary size must be between 1 and n"),
+    (lambda: WalkInstance(_P3, (1, 4), (1, 0), -1), GraphError,
+     "boundary vertex 4 out of range"),
+    (lambda: parse_instance("n 2\ne 1 2\ntail 1 1\nz -1\nz +1\n"),
+     InstanceParseError, "line 5: duplicate 'z' directive"),
+    (lambda: parse_rational("1/0"), ValueError, "zero denominator: '1/0'"),
+    (lambda: RatMatrix([[1, 2], [3]]), ValueError, "ragged rows"),
+    (lambda: RatMatrix.identity(2) * RatMatrix.identity(3), ValueError,
+     "shape mismatch"),
+    (lambda: RatMatrix.identity(2).mul_vec([1]), ValueError,
+     "shape mismatch"),
+    (lambda: RatMatrix([[1, 2]]).det(), ValueError, "non-square"),
+    (lambda: RatMatrix.identity(2).solve_many([[1]]), ValueError,
+     "right-hand-side length mismatch"),
+    (lambda: RatMatrix([[1, 2]]).solve_many([[1]]), ValueError,
+     "solve needs a square matrix"),
+    (lambda: VertexField(_P3, {1: rat(0), 2: rat(0)}), ValueError,
+     "must cover every internal vertex"),
+    (lambda: ArcField(_P3, {(1, 2): rat(0)}), ValueError,
+     "must cover exactly the internal arcs"),
+])
+def test_invalid_input_raises(make, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        make()
 
 
 def test_parse_instance_roundtrip():
