@@ -24,7 +24,7 @@ from itertools import combinations, groupby, permutations
 from .factors import FactorMismatchError, closed_form_comfort, \
     cycle_incidence_check, factor_counts, odd_unicyclic_sums, \
     spanning_tree_count, two_forest_count
-from .graphs import _pair_bits, _relabelled_masks, bipartition, \
+from .graphs import _bfs, _pair_bits, _relabelled_masks, bipartition, \
     canonical_form, enumerate_connected, odd_cycle_witness, \
     standard_instance, vertex_pairs
 from .potential import bipartite_route, kirchhoff_audit, nonbipartite_route
@@ -150,8 +150,11 @@ def rank(n, z=-1):
     which represents its row, and the first pair that reaches a class's
     maximum both lie on first members, so the table equals that of a
     sweep over every labelled graph.  A first member takes its closed
-    forms and distances once per unordered pair (once per u1 in the
-    signless case) and one canonical form.
+    forms once per unordered pair (once per u1 in the signless case), its
+    boundary distances from one breadth-first search per source vertex,
+    and its canonical form, which the per-graph memo keeps: repeated calls
+    in one process walk the member's relabellings for it only once while
+    the member stays in the memo.
     """
     if not 2 <= n <= 5:
         raise ValueError("rank supports 2 <= n <= 5")
@@ -179,9 +182,8 @@ def rank(n, z=-1):
         # graph's closed form is the same at both phases.
         order_ref[cid] = comforts[best] if z == -1 or bip else \
             max(_pair_comforts(g, -1, bip).values())
-        dist = {}
-        for u, v in vertex_pairs(n):
-            dist[u, v] = dist[v, u] = g.distance(u, v)
+        # depth[u][v]: the distance from u to v, one search per source.
+        depth = {u: _bfs(g._adj, u)[2] for u in range(1, n + 1)}
         for pair in ordered:
             key = (g.m, bip, comforts[pair], lab)
             row = classes.get(key)
@@ -191,7 +193,7 @@ def rank(n, z=-1):
                                                 frozenset())
             row.members += len(orbit)
             row.class_ids |= {cid}
-            row.distances |= {dist[pair]}
+            row.distances |= {depth[pair[0]][pair[1]]}
 
     def row_key(item):
         (edges, bip, comf, _), _ = item

@@ -2,6 +2,7 @@
 import random
 import re
 import time
+import tracemalloc
 from collections import Counter
 
 import networkx as nx
@@ -127,9 +128,30 @@ def test_distance_rejects_vertices_out_of_range():
 
 
 def test_enumerate_connected_counts():
-    # Labelled connected graph counts (OEIS A001187): 1, 4, 38, 728.
-    for n, count in [(2, 1), (3, 4), (4, 38), (5, 728)]:
+    # Labelled connected graph counts (OEIS A001187): 1, 4, 38, 728, 26704.
+    for n, count in [(2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)]:
         assert len(list(enumerate_connected(n))) == count
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_enumeration_matches_the_validated_construction(n):
+    # enumerate_connected builds its graphs from half-mask tables without
+    # revalidating them; each must equal Graph(n, edges) on its mask.
+    pairs = vertex_pairs(n)
+    ref = []
+    for mask in range(1, 1 << len(pairs)):
+        try:
+            ref.append(Graph(n, [p for i, p in enumerate(pairs)
+                                 if mask >> i & 1]))
+        except GraphError:
+            pass
+    got = enumerate_connected(n)
+    assert len(got) == len(ref)
+    for g, h in zip(got, ref):
+        assert g == h and hash(g) == hash(h)
+        assert g.edges == h.edges and g.arcs == h.arcs
+        assert all(g.neighbors(v) == h.neighbors(v)
+                   for v in range(1, n + 1))
 
 
 def test_canonical_classes_n4():
@@ -166,6 +188,67 @@ def test_orbit_ids_are_the_canonical_forms():
                                               canonical_form(g)))
             assert class_of[mask] == canonical_form(g)
         assert set(class_of) == set(own)
+
+
+def _random_connected(rng, n):
+    """A random spanning tree on 1..n plus up to n random extra edges."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    edges = {tuple(sorted((order[i], order[rng.randrange(i)])))
+             for i in range(1, n)}
+    others = [p for p in vertex_pairs(n) if p not in edges]
+    edges.update(rng.sample(others, rng.randint(0, n)))
+    return Graph(n, edges)
+
+
+def test_canonical_form_walks_the_relabellings_once(monkeypatch):
+    walks = []
+    real = graphs_module._relabelled_masks
+
+    def relabelled(g):
+        walks.append(g)
+        return real(g)
+
+    graphs_module._GraphMemo.cache_clear()
+    monkeypatch.setattr(graphs_module, "_relabelled_masks", relabelled)
+    g = cycle_graph(5)
+    first = canonical_form(g)
+    assert canonical_form(Graph(5, g.edges)) == first
+    assert walks == [g]
+
+
+def test_memoised_canonical_form_is_the_least_relabelled_mask():
+    rng = random.Random(30)
+    graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
+    graphs += [_random_connected(rng, rng.randint(6, 8)) for _ in range(30)]
+    assert {g.n for g in graphs[-30:]} == {6, 7, 8}
+    graphs_module._GraphMemo.cache_clear()
+    for g in graphs:
+        assert canonical_form(g) == min(_relabelled_masks(g))
+
+
+def test_canonical_form_memo_holds_no_orbit():
+    # An 8-vertex orbit held as a set of masks would take megabytes.
+    rng = random.Random(31)
+    graphs = [_random_connected(rng, 8) for _ in range(4)]
+    graphs_module._GraphMemo.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for g in graphs:
+            canonical_form(g)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert graphs_module._GraphMemo.cache_info().currsize == 4
+    assert held < 1_000_000
+
+
+def test_canonical_form_rejects_large_graphs_before_the_memo():
+    graphs_module._GraphMemo.cache_clear()
+    with pytest.raises(GraphError, match=r"n <= 8$"):
+        canonical_form(path_graph(9))
+    assert graphs_module._GraphMemo.cache_info().currsize == 0
 
 
 def test_walk_instance_validation():

@@ -1,5 +1,6 @@
 """Source policy: no catch-all exception handler and no unbounded cache
-anywhere in the library."""
+anywhere in the library, and no graph built around Graph's validation
+outside graphs.py."""
 import ast
 import pathlib
 
@@ -78,3 +79,41 @@ def test_library_has_no_catch_all_handler_or_unbounded_cache():
     found = [(f.name, line, what) for f in files
              for line, what in _violations(f.read_text())]
     assert found == []
+
+
+def _unvalidated_graphs(source):
+    """Lines of ``source`` that build a Graph without Graph.__init__:
+    ``Graph.__new__(...)``, ``object.__new__(Graph)`` or any use of the
+    private slot-filling step ``_fill_slots``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "_fill_slots":
+            out.append(node.lineno)
+        elif (isinstance(node, ast.Call) and _name(node.func) == "__new__"
+              and "Graph" in [_name(node.func.value)]
+              + [_name(a) for a in node.args[:1]]):
+            out.append(node.lineno)
+    return out
+
+
+@pytest.mark.parametrize("source", [
+    "g = Graph.__new__(Graph)\n",
+    "g = graphs.Graph.__new__(graphs.Graph)\n",
+    "g = object.__new__(Graph)\n",
+    "Graph._fill_slots(g, 2, ((1, 2),), adj)\n",
+    "g._fill_slots(2, ((1, 2),), adj)\n",
+])
+def test_unvalidated_graph_check_flags_each_form(source):
+    assert _unvalidated_graphs(source) == [1]
+
+
+def test_unvalidated_graph_check_passes_validated_construction():
+    assert _unvalidated_graphs("g = Graph(2, [(1, 2)])\n"
+                               "x = object.__new__(Other)\n") == []
+
+
+def test_only_graphs_builds_graphs_without_validation():
+    files = sorted(pathlib.Path(grwalk.__file__).parent.glob("*.py"))
+    found = {f.name: _unvalidated_graphs(f.read_text()) for f in files}
+    assert found.pop("graphs.py")           # enumerate_connected's fast path
+    assert {name: lines for name, lines in found.items() if lines} == {}
