@@ -24,9 +24,8 @@ from itertools import combinations, groupby, permutations
 from .factors import FactorMismatchError, closed_form_comfort, \
     cycle_incidence_check, factor_counts, odd_unicyclic_sums, \
     spanning_tree_count, two_forest_count
-from .graphs import _bfs, _pair_bits, _relabelled_masks, bipartition, \
-    canonical_form, enumerate_connected, odd_cycle_witness, \
-    standard_instance, vertex_pairs
+from .graphs import _bfs, bipartition, canonical_form, enumerate_connected, \
+    isomorphism_classes, odd_cycle_witness, standard_instance, vertex_pairs
 from .potential import bipartite_route, kirchhoff_audit, nonbipartite_route
 from .ratlin import rat
 from .simulate import contraction_rate, simulate
@@ -144,34 +143,29 @@ def rank(n, z=-1):
     Relabelling the vertices changes neither the closed form, nor the
     boundary distance, nor bipartiteness, so all members of an
     isomorphism class have the same configurations up to the labels.
-    Each class is therefore worked out once, on its first member in
-    enumeration order, and counted once per labelled graph in it (one per
-    distinct relabelling).  The first configuration with a given value,
-    which represents its row, and the first pair that reaches a class's
-    maximum both lie on first members, so the table equals that of a
-    sweep over every labelled graph.  A first member takes its closed
-    forms once per unordered pair (once per u1 in the signless case), its
-    boundary distances from one breadth-first search per source vertex,
-    and its canonical form, which the per-graph memo keeps: repeated calls
-    in one process walk the member's relabellings for it only once while
-    the member stays in the memo.
+    Each class of isomorphism_classes(n) is therefore worked out once, on
+    its first member in enumeration order, and counted once per labelled
+    graph in it.  The first configuration with a given value, which
+    represents its row, and the first pair that reaches a class's maximum
+    both lie on first members, so the table equals that of a sweep over
+    every labelled graph.  A first member takes its closed forms once per
+    unordered pair (once per u1 in the signless case), its boundary
+    distances from one breadth-first search per source vertex, and its
+    canonical form, which the per-graph memo keeps.  The class table is
+    built once per n, so repeated calls in one process enumerate no graph
+    and walk no relabelling while the first members stay in the memo.
     """
     if not 2 <= n <= 5:
         raise ValueError("rank supports 2 <= n <= 5")
     if z not in (1, -1):
         raise ValueError("z must be +1 or -1")
     ordered = list(permutations(range(1, n + 1), 2))
-    bits = _pair_bits(n)          # to read each graph's own edge mask
-    seen = set()                  # edge masks of every class met so far
     classes = {}
     maxima = {}
     order_ref = {}
-    graphs = enumerate_connected(n)
-    for g in graphs:
-        if sum(bits[u][v] for u, v in g.edges) in seen:
-            continue
-        orbit = set(_relabelled_masks(g))
-        seen |= orbit
+    labelled = 0
+    for g, size in isomorphism_classes(n):
+        labelled += size
         cid = canonical_form(g)
         bip = bipartition(g) is not None
         lab = scattering_label(g, z)
@@ -191,7 +185,7 @@ def rank(n, z=-1):
                 row = classes[key] = CatalogRow(g.m, bip, comforts[pair], lab,
                                                 (g, pair), frozenset(), 0,
                                                 frozenset())
-            row.members += len(orbit)
+            row.members += size
             row.class_ids |= {cid}
             row.distances |= {depth[pair[0]][pair[1]]}
 
@@ -210,7 +204,7 @@ def rank(n, z=-1):
                           key=lambda m: (m.edge_count, order_ref[m.class_id],
                                          m.class_id))
     return RankReport(n, z, rows, tie_groups, class_maxima,
-                      len(graphs) * len(ordered))
+                      labelled * len(ordered))
 
 
 @dataclass

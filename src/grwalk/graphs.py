@@ -9,12 +9,9 @@ Everything worked out from a graph alone lives here too: its 2-colouring
 matrices, its factor enumeration and its canonical form.  One memo per
 graph, bounded to the 32 most recently used graphs, colours, enumerates,
 canonicalises and builds each L_z at most once, so every module above
-reads these facts from one place.
-
-The connected-graph catalog is enumerated from two tables, one per half
-of the vertex pairs, that give every half-mask's edges and neighbour
-bitmasks; a graph is built only for a connected mask, and without
-revalidating edges the enumeration generated itself.
+reads these facts from one place.  Likewise what depends on n alone,
+the isomorphism classes of connected graphs on n vertices, is built
+once per n; the edge-mask encoding is known only to this module.
 """
 from __future__ import annotations
 
@@ -85,24 +82,16 @@ class Graph:
             seen.add(key)
         if len(seen) < n - 1:          # before any O(n) allocation
             raise GraphError("disconnected graph")
-        edges = tuple(sorted(seen))
+        self.n = n
+        self.edges = tuple(sorted(seen))
         adj = {v: [] for v in range(1, n + 1)}
-        for u, v in edges:
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
         # The edges are sorted, so each neighbour list is already ascending.
-        adj = {v: tuple(ws) for v, ws in adj.items()}
-        if len(_bfs(adj, 1)[0]) < n:
+        self._adj = {v: tuple(ws) for v, ws in adj.items()}
+        if len(_bfs(self._adj, 1)[0]) < n:
             raise GraphError("disconnected graph")
-        self._fill_slots(n, edges, adj)
-
-    def _fill_slots(self, n, edges, adj):
-        """Set the state of a graph on 1..n with the sorted edge tuple
-        ``edges`` and the ascending neighbour tuples ``adj``, as checked
-        by __init__ or generated by enumerate_connected."""
-        self.n = n
-        self.edges = edges
-        self._adj = adj
         # The arcs are built on first use: a catalog sweep constructs many
         # graphs that it never solves.
         self._arcs = self._arc_index = None
@@ -453,57 +442,24 @@ class _GraphMemo:
         return self.dets[key]
 
 
-def _half_masks(n, pairs):
-    """(edge tuple, neighbour bitmasks) for every edge mask over
-    ``pairs``, indexed by the mask: bit i marks pairs[i], the edges keep
-    the order of ``pairs``, and the bitmask of vertex v (at index v - 1)
-    has bit w - 1 set for each neighbour w."""
-    table = []
-    for mask in range(1 << len(pairs)):
-        edges = tuple(p for i, p in enumerate(pairs) if mask >> i & 1)
-        nbrs = [0] * n
-        for u, v in edges:
-            nbrs[u - 1] |= 1 << (v - 1)
-            nbrs[v - 1] |= 1 << (u - 1)
-        table.append((edges, nbrs))
-    return table
-
-
 def enumerate_connected(n):
     """All labeled connected simple graphs on n vertices (2 <= n <= 6).
 
     Deterministic order: ascending edge bitmask, where bit i marks the
     i-th pair in lexicographic order.
-
-    The pairs split into a low and a high half, and each half-mask's edge
-    tuple and neighbour bitmasks are tabulated once.  A mask's edges are
-    then its low half's followed by its high half's, and a vertex's
-    neighbours are read off the OR of its two bitmasks.  Masks with fewer
-    than n - 1 edges and masks that one breadth-first search from vertex 1
-    does not cover are skipped; the rest are built without revalidating
-    the edges generated here.
     """
     if not 2 <= n <= 6:
         raise GraphError(f"enumerate_connected supports 2 <= n <= 6, got {n}")
     pairs = vertex_pairs(n)
-    half = len(pairs) // 2
-    low, high = _half_masks(n, pairs[:half]), _half_masks(n, pairs[half:])
-    # The ascending neighbour tuple of every neighbour bitmask.
-    neighbours = [tuple(w for w in range(1, n + 1) if bm >> (w - 1) & 1)
-                  for bm in range(1 << n)]
-    vertices = range(1, n + 1)
     out = []
-    for high_edges, high_nbrs in high:
-        for low_edges, low_nbrs in low:
-            if len(low_edges) + len(high_edges) < n - 1:
-                continue
-            adj = {v: neighbours[a | b]
-                   for v, a, b in zip(vertices, low_nbrs, high_nbrs)}
-            if len(_bfs(adj, 1)[0]) < n:           # disconnected
-                continue
-            g = Graph.__new__(Graph)
-            g._fill_slots(n, low_edges + high_edges, adj)
-            out.append(g)
+    for mask in range(1, 1 << len(pairs)):
+        if mask.bit_count() < n - 1:  # too few edges to connect n vertices
+            continue
+        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        try:
+            out.append(Graph(n, edges))
+        except GraphError:           # disconnected
+            pass
     return out
 
 
@@ -538,6 +494,28 @@ def canonical_form(g):
     if g.n > 8:
         raise GraphError("canonical_form supports n <= 8")
     return _GraphMemo(g).canonical
+
+
+@functools.lru_cache(maxsize=5)           # one entry per n in 2..6
+def isomorphism_classes(n):
+    """The isomorphism classes of connected graphs on n vertices
+    (2 <= n <= 6) as (first member, class size) pairs, in
+    enumerate_connected order.
+
+    A class's size is its number of labelled graphs, the distinct edge
+    masks of its first member under all vertex permutations.  Built once
+    per n and kept: 1, 2, 6, 21 and 112 first members for n = 2..6.
+    """
+    bits = _pair_bits(n)
+    seen = set()                  # edge masks of every class met so far
+    classes = []
+    for g in enumerate_connected(n):
+        if sum(bits[u][v] for u, v in g.edges) in seen:
+            continue
+        orbit = set(_relabelled_masks(g))
+        seen |= orbit
+        classes.append((g, len(orbit)))
+    return tuple(classes)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import grwalk.catalog as catalog
 import grwalk.cli as cli
+import grwalk.graphs as graphs_module
 import grwalk.stationary as stationary
 from grwalk.catalog import analyze, gamma_graphs, rank, standard_sweep
 from grwalk.factors import FactorMismatchError, closed_form_comfort
@@ -183,6 +184,29 @@ def test_rank_shares_work_across_pairs_and_classes(monkeypatch):
                 if z == 1 and not bip:
                     want[g, -1] = n      # the z = -1 maximum orders classes
             assert Counter(closed) == want
+
+
+def test_repeated_rank_does_no_per_n_work(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(graphs_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(graphs_module, name, wrapper)
+
+    counted("enumerate_connected")
+    counted("_relabelled_masks")
+    graphs_module.isomorphism_classes.cache_clear()
+    for z in (-1, 1):
+        first = rank(5, z)
+        assert calls["enumerate_connected"] == (z == -1)
+        calls.clear()
+        assert _rank_fields(rank(5, z)) == _rank_fields(first)
+        assert calls == {}
+    assert graphs_module.isomorphism_classes.cache_info().maxsize == 5
 
 
 def test_first_member_of_each_class_is_its_canonical_form():

@@ -1,4 +1,5 @@
 """Graph model, instance files, enumeration, canonical forms."""
+import itertools
 import random
 import re
 import time
@@ -14,7 +15,8 @@ from grwalk.graphs import (Graph, GraphError, InstanceParseError,
                            WalkInstance, _pair_bits, _relabelled_masks,
                            bipartition, canonical_form, complete_graph,
                            cycle_graph, enumerate_connected,
-                           odd_cycle_witness, parse_instance, path_graph,
+                           isomorphism_classes, odd_cycle_witness,
+                           parse_instance, path_graph,
                            standard_instance, star_graph, vertex_pairs)
 import grwalk.graphs as graphs_module
 from grwalk.catalog import analyze, rank, standard_sweep
@@ -135,8 +137,8 @@ def test_enumerate_connected_counts():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_enumeration_matches_the_validated_construction(n):
-    # enumerate_connected builds its graphs from half-mask tables without
-    # revalidating them; each must equal Graph(n, edges) on its mask.
+    # enumerate_connected must give, in ascending mask order, exactly the
+    # graphs that Graph(n, edges) accepts on each mask.
     pairs = vertex_pairs(n)
     ref = []
     for mask in range(1, 1 << len(pairs)):
@@ -188,6 +190,38 @@ def test_orbit_ids_are_the_canonical_forms():
                                               canonical_form(g)))
             assert class_of[mask] == canonical_form(g)
         assert set(class_of) == set(own)
+
+
+def test_isomorphism_classes_match_an_independent_walk():
+    # Each class's first member in ascending-mask order, and its size, the
+    # number of distinct masks under every vertex permutation.
+    classes = 0
+    for n, labelled in [(2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)]:
+        pairs = vertex_pairs(n)
+        bit = {p: 1 << i for i, p in enumerate(pairs)}
+        perms = list(itertools.permutations(range(1, n + 1)))
+        seen, want = set(), []
+        for mask in range(1 << len(pairs)):
+            if mask in seen:
+                continue
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            try:
+                g = Graph(n, edges)
+            except GraphError:
+                continue
+            orbit = {sum(bit[tuple(sorted((p[u - 1], p[v - 1])))]
+                         for u, v in edges) for p in perms}
+            seen |= orbit
+            want.append((mask, g.edges, len(orbit)))
+        got = isomorphism_classes(n)
+        assert [(g.edges, size) for g, size in got] == \
+            [(edges, size) for _, edges, size in want]
+        assert [canonical_form(g) for g, _ in got] == \
+            [mask for mask, _, _ in want]
+        assert sum(size for _, size in got) == labelled
+        assert all(g.n == n for g, _ in got)
+        classes += len(got)
+    assert classes == 142
 
 
 def _random_connected(rng, n):
